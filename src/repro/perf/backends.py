@@ -61,6 +61,7 @@ import os
 import re
 import sqlite3
 import tempfile
+import time
 from contextlib import closing
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
@@ -210,11 +211,34 @@ class SqliteStore:
         """
         self.path.parent.mkdir(parents=True, exist_ok=True)
         conn = sqlite3.connect(str(self.path), timeout=self.BUSY_TIMEOUT_S)
-        conn.execute("PRAGMA journal_mode=WAL")
+        self._ensure_wal(conn)
         conn.execute("PRAGMA synchronous=NORMAL")
         for statement in _SCHEMA:
             conn.execute(statement)
         return conn
+
+    def _ensure_wal(self, conn: sqlite3.Connection) -> None:
+        """Switch the database to WAL journaling unless it already is.
+
+        WAL mode persists in the database file, so once any connection
+        has switched it, every later one pays a single probe.  The
+        switch itself needs an exclusive lock, and SQLite reports a
+        concurrent switch (two processes opening a fresh database) as
+        "database is locked" at once, without consulting the busy
+        timeout — so that step retries until ``BUSY_TIMEOUT_S`` runs
+        out.
+        """
+        deadline = time.monotonic() + self.BUSY_TIMEOUT_S
+        while True:
+            try:
+                (mode,) = conn.execute("PRAGMA journal_mode").fetchone()
+                if mode != "wal":
+                    conn.execute("PRAGMA journal_mode=WAL")
+                return
+            except sqlite3.OperationalError:
+                if time.monotonic() >= deadline:
+                    raise
+                time.sleep(0.01)
 
     def _read(self, query: str, args: Tuple = ()) -> List[Tuple]:
         """Rows of a read-only query; a missing or torn database reads

@@ -19,13 +19,21 @@ This module is the compiled-down replica that
   :mod:`repro.sim.replay` (insertion-ordered dicts, a shared
   incremental score window, int-keyed lazy Belady heaps) extended with
   the exclusion sets and non-destructive victim peeks prefetching
-  needs;
+  needs, plus a per-level trip ledger for ``fidelity`` — all five
+  shipped policies run here;
 * the prefetch walk is slice-free (an epoch-stamped array replaces the
   per-call ``seen`` set), lazy for ``next_k`` (the reference walk has
   no side effects, so candidates the budget never reaches are never
   scanned), and the exactness veto reads next uses from an
   incrementally-maintained array — a candidate's next use is its own
-  walk position — instead of bisecting a ``TraceIndex``.
+  walk position — instead of bisecting a ``TraceIndex``;
+* the ``next_k`` walk stops at the first vetoed candidate.  It yields
+  candidates in increasing walk position (= next use), and the victim
+  a veto compares against only changes when a prefetch is accepted, so
+  once ``victim_next <= cand_next`` holds it holds for every later
+  candidate of the round: the reference vetoes them all, one by one.
+  ``distance`` re-ranks deepest-first, so its positions are not
+  monotone and its walk runs to the end.
 
 Every kernel-schedule and queue-insertion call site mirrors the
 reference one-to-one, so the (time, seq) event order — and therefore
@@ -43,18 +51,28 @@ import heapq
 from typing import List, Optional, Sequence, Set, Tuple
 
 from ..circuits.circuit import Circuit
-from .levels import HierarchyEngineResult, HierarchyStack, LevelStat
+from .levels import (
+    _DEMAND,
+    _PIN_MARGIN,
+    _PREFETCH,
+    _WRITEBACK,
+    HierarchyEngineResult,
+    HierarchyStack,
+    LevelStat,
+)
+from .policies import ScorePolicy
+from .prefetch import DistancePrefetcher, NextKPrefetcher
 from .replay import _scan_program
 
 __all__ = ["simulate_split_fast", "supports_fast_split"]
 
-#: Dispatch priorities, mirroring ``repro.sim.levels``.
-_DEMAND, _WRITEBACK, _PREFETCH = 0, 1, 2
-_PIN_MARGIN = 4
-
-#: The shipped prefetcher parameters (``NextKPrefetcher()`` defaults).
-_PREFETCH_K = 64
-_PREFETCH_HORIZON = 512
+#: The candidate walk of each shipped prefetcher, at the defaults the
+#: reference engine instantiates (``make_prefetcher`` passes no
+#: arguments): its ``k`` and ``horizon`` are the fast walk's bounds.
+_WALKERS = {
+    "next_k": NextKPrefetcher(),
+    "distance": DistancePrefetcher()._walker,
+}
 
 #: Request lifecycle states (``TransferRequest.state`` equivalents).
 _SCHEDULED, _QUEUED, _ACTIVE, _DONE, _WITHDRAWN = 0, 1, 2, 3, 4
@@ -75,18 +93,23 @@ _K_HOP, _K_WB = 0, 1
 # successor — the reference's ``_Trigger`` subscriptions, flattened
 # (each trigger ever has at most one subscriber).
 
-_FAST_POLICIES = frozenset({"belady", "fifo", "lru", "score"})
+_FAST_POLICIES = frozenset({"belady", "fidelity", "fifo", "lru", "score"})
 _FAST_PREFETCHERS = frozenset({"distance", "next_k", "none"})
 
-_SCORE_WINDOW = 256  # ScorePolicy's default lookahead
+_SCORE_WINDOW = ScorePolicy().window  # the reference's default lookahead
 
 
 def supports_fast_split(policy: str, prefetch: str) -> bool:
     """True when the flattened engine covers (policy, prefetch).
 
-    Only the shipped policies and prefetchers are specialized; any
+    All five shipped policies (``belady``, ``fidelity``, ``fifo``,
+    ``lru``, ``score``) and all three shipped prefetchers are
+    specialized, so every shipped cell runs flattened; any
     user-registered extension falls back to the reference engine, which
-    drives the real registry objects.
+    drives the real registry objects.  The ``next_k`` walk may stop at
+    its first vetoed candidate because candidates arrive in increasing
+    next use against a victim that only changes on acceptance — every
+    later candidate of the round would be vetoed too.
     """
     return policy in _FAST_POLICIES and prefetch in _FAST_PREFETCHERS
 
@@ -167,6 +190,30 @@ def simulate_split_fast(
         counts = [0] * n_qubits
         for q in trace[:_SCORE_WINDOW]:
             counts[q] += 1
+    # fidelity: per-level lifetime insertion counts (FidelityPolicy's
+    # trip ledger) and trip count -> current residents at it.
+    track_trips = policy == "fidelity"
+    trips: List[List[int]] = []
+    tallies: List[dict] = []
+    if track_trips:
+        trips = [[0] * n_qubits for _ in range(n_finite)]
+        tallies = [{} for _ in range(n_finite)]
+
+    def trip_insert(i, q):
+        tr = trips[i]
+        count = tr[q] + 1
+        tr[q] = count
+        tally = tallies[i]
+        tally[count] = tally.get(count, 0) + 1
+
+    def trip_remove(i, q):
+        count = trips[i][q]
+        tally = tallies[i]
+        remaining = tally[count] - 1
+        if remaining:
+            tally[count] = remaining
+        else:
+            del tally[count]
 
     def victim_recency(i, vpos, excl):
         d = orders_[i]
@@ -226,11 +273,47 @@ def simulate_split_fast(
                 heappush(h, e)
         return next(iter(d))
 
+    def victim_fidelity(i, vpos, excl):
+        # FidelityPolicy.victim: fewest lifetime trips at this level,
+        # then farthest next_use(q, vpos), then LRU order.
+        d = orders_[i]
+        tr = trips[i]
+        if excl:
+            fewest = None
+            for q in d:
+                if q not in excl:
+                    count = tr[q]
+                    if fewest is None or count < fewest:
+                        fewest = count
+            if fewest is None:  # unsatisfiable pin: fall back
+                return next(iter(d))
+        else:
+            fewest = min(tallies[i])
+        # nu_now[q] is q's first use at/after the scan pointer (== vpos);
+        # next_use(q, vpos) is the first use strictly after it.  Victims
+        # are only chosen for an access or a candidate at/after vpos, so
+        # vpos < n.
+        after = next_pos[vpos]
+        best = None
+        best_dist = -1
+        for q in d:  # LRU-first iteration breaks ties
+            if tr[q] != fewest or q in excl:
+                continue
+            dist = nu_now[q]
+            if dist == vpos:
+                dist = after
+            if dist == n:  # never used again
+                return q
+            if dist > best_dist:
+                best, best_dist = q, dist
+        return best
+
     select_victim = {
         "lru": victim_recency,
         "fifo": victim_recency,
         "score": victim_score,
         "belady": victim_belady,
+        "fidelity": victim_fidelity,
     }[policy]
 
     # --- run state ----------------------------------------------------
@@ -256,11 +339,15 @@ def simulate_split_fast(
     pos = 0
 
     prefetching = prefetch != "none"
+    # next_k walks candidates in increasing next use (see the veto).
+    monotone_walk = prefetch == "next_k"
+    track_next = prefetching or track_trips
     next_pos: Sequence[int] = ()
     nu_now: List[int] = []
     stamp: List[int] = []
     epoch = 0
-    if prefetching:
+    walk_k = walk_horizon = 0
+    if track_next:
         next_pos = program.next_pos()
         # nu_now[q]: first occurrence of q at/after the scan pointer —
         # the reference's TraceIndex.next_use(q, pos - 1), maintained
@@ -268,6 +355,10 @@ def simulate_split_fast(
         nu_now = [n] * n_qubits
         for p in range(n - 1, -1, -1):
             nu_now[trace[p]] = p
+    if prefetching:
+        walker = _WALKERS[prefetch]
+        walk_k = walker.k
+        walk_horizon = walker.horizon
         stamp = [-1] * n_qubits
 
     # --- the flattened event machinery --------------------------------
@@ -423,7 +514,11 @@ def simulate_split_fast(
                 bumped = select_victim(lvl, pos, ())
                 del d[bumped]
                 evc[lvl] += 1
+                if track_trips:
+                    trip_remove(lvl, bumped)
             d[victim] = None
+            if track_trips:
+                trip_insert(lvl, victim)
             if track_nu:
                 # The victim's cached next use carries down unchanged.
                 key = bseq + qkb[victim]
@@ -448,7 +543,7 @@ def simulate_split_fast(
         epoch += 1
         stamp_epoch = epoch
         start = pos
-        end = start + _PREFETCH_HORIZON
+        end = start + walk_horizon
         if end > n:
             end = n
         if track_nu and start < n:
@@ -473,7 +568,7 @@ def simulate_split_fast(
         # reference walks with the round-start residency snapshot, so a
         # freshly-demoted victim is not a candidate until next gate.
         round_demoted: Optional[Set[int]] = None
-        if prefetch == "next_k":
+        if monotone_walk:
             # Lazy walk: the reference materializes up to k candidates,
             # but scanning is side-effect-free and the pin budget stops
             # far short of k — candidates past the break never cost.
@@ -489,7 +584,7 @@ def simulate_split_fast(
                     ):
                         yield cq, p
                         found += 1
-                        if found == _PREFETCH_K:
+                        if found == walk_k:
                             return
 
             candidates = _candidates()
@@ -502,7 +597,7 @@ def simulate_split_fast(
                 stamp[cq] = stamp_epoch
                 if location[cq]:
                     found_list.append((-location[cq], p, cq))
-                    if len(found_list) == _PREFETCH_K:
+                    if len(found_list) == walk_k:
                         break
             found_list.sort()  # deepest first, trace order within
             candidates = iter([(cq, p) for _, p, cq in found_list])
@@ -527,14 +622,25 @@ def simulate_split_fast(
                     if victim is not None:
                         victim_next = nu_now[victim]
             if victim is not None and victim_next <= cand_next:
-                continue  # exactness veto
+                # Exactness veto.  next_k candidates arrive in increasing
+                # next use and the victim is fixed until an acceptance,
+                # so every later next_k candidate is vetoed too.
+                if monotone_walk:
+                    break
+                continue
             if src != bottom:
                 del orders_[src][cq]  # quiet pull: no counters
+                if track_trips:
+                    trip_remove(src, cq)
             evicted = victim
             if evicted is not None:
                 del d0[evicted]
                 evc[0] += 1
+                if track_trips:
+                    trip_remove(0, evicted)
             d0[cq] = None
+            if track_trips:
+                trip_insert(0, cq)
             if track_nu:
                 # The candidate's next use *is* its walk position.
                 base = -cand_next * span
@@ -597,6 +703,8 @@ def simulate_split_fast(
                     acc[src] += 1
                     hit[src] += 1
                     del orders_[src][q]
+                    if track_trips:
+                        trip_remove(src, q)
                 acc[0] += 1
                 mis[0] += 1
                 exclusions = set(pinned)
@@ -607,7 +715,11 @@ def simulate_split_fast(
                     evicted = select_victim(0, pos, exclusions)
                     del d0[evicted]
                     evc[0] += 1
+                    if track_trips:
+                        trip_remove(0, evicted)
                 d0[q] = None
+                if track_trips:
+                    trip_insert(0, q)
                 if track_nu:
                     kb = keybase[pos]
                     qkb[q] = kb
@@ -619,7 +731,7 @@ def simulate_split_fast(
                 chain = _evict_cascade(evicted)
                 _launch_fetch(q, src, issue_t, _DEMAND, chain)
             issued.add(q)
-            if prefetching:
+            if track_next:
                 nu_now[q] = next_pos[pos]
             pos += 1
         _issue_prefetches(issue_t, issued)

@@ -49,6 +49,7 @@ equivalence tests against ``simulate_l1_run_reference``).
 from __future__ import annotations
 
 import heapq
+import logging
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -59,6 +60,8 @@ from .cache import simulate_optimized
 from .events import EventKernel, PortServer
 from .policies import PolicyCache, make_policy, validate_policy
 from .prefetch import make_prefetcher, validate_prefetcher
+
+logger = logging.getLogger(__name__)
 
 #: Level-1 compute-region size used across the hierarchy studies: one
 #: optimally sized superblock (36 blocks) of 9 data qubits... the paper
@@ -528,6 +531,11 @@ def simulate_hierarchy_run(
             return simulate_split_fast(
                 stack, circuit, order, policy, prefetch, recorder=recorder
             )
+        logger.debug(
+            "split-transaction run of policy=%r prefetch=%r falls back to "
+            "the reference engine: repro.sim.fastsplit does not cover it",
+            policy, prefetch,
+        )
         run = _SplitTransactionRun(
             stack, circuit, order, circuit.operand_trace(order), policy,
             [make_policy(policy) for _ in stack.levels[:-1]], prefetch,

@@ -19,25 +19,34 @@ is held bit-identical to the retained reference across a policy ×
 prefetcher × stack matrix.
 """
 
+import logging
 import random
 
 import pytest
 
 from repro.circuits.workloads import build_workload
+from repro.sim import policies
 from repro.sim.cache import simulate_optimized
+from repro.sim.fastsplit import supports_fast_split
 from repro.sim.levels import (
     mixed_stack,
     simulate_hierarchy_run,
     simulate_hierarchy_run_audited,
     standard_stack,
 )
-from repro.sim.policies import available_policies
+from repro.sim.policies import LruPolicy, available_policies, register_policy
 from repro.sim.prefetch import available_prefetchers
 from repro.sim.replay import (
     extract_movement_trace,
     price_movement_trace_batch,
     price_movement_traces_multi,
 )
+
+
+#: The shipped registries, read at import time (before any test can
+#: register an extension of its own).
+SHIPPED_POLICIES = available_policies()
+SHIPPED_PREFETCHERS = available_prefetchers()
 
 
 def _code_variants(depth, compute_qubits, cache_factor, parallel_transfers):
@@ -213,3 +222,55 @@ class TestFastSplitEquivalence:
                 pipeline=True,
             )
             assert fast == reference
+
+    @pytest.mark.parametrize("prefetch", ("next_k", "distance"))
+    @pytest.mark.parametrize("depth", (3, 4))
+    def test_fidelity_ledger_on_deep_tight_stacks(self, depth, prefetch):
+        # Small caps over several levels: prefetches quietly pull qubits
+        # out of intermediate levels and cascades bump through them, so
+        # every trip-ledger hook of the fidelity kernel is exercised.
+        circuit = build_workload("modexp_trace", 24)
+        for stack in (
+            standard_stack("steane", depth, compute_qubits=8),
+            mixed_stack("bacon_shor", "steane", depth=depth, compute_qubits=8),
+        ):
+            order = simulate_optimized(circuit, stack.levels[0].capacity).order
+            fast = simulate_hierarchy_run(
+                stack, circuit, "fidelity", order=order, prefetch=prefetch,
+            )
+            reference, _ = simulate_hierarchy_run_audited(
+                stack, circuit, "fidelity", order=order, prefetch=prefetch,
+            )
+            assert fast == reference
+
+    def test_every_shipped_cell_runs_flattened(self):
+        uncovered = [
+            (policy, prefetch)
+            for policy in SHIPPED_POLICIES
+            for prefetch in SHIPPED_PREFETCHERS
+            if not supports_fast_split(policy, prefetch)
+        ]
+        assert uncovered == []
+
+    def test_reference_fallback_is_logged(self, caplog):
+        class TestOnlyPolicy(LruPolicy):
+            name = "test-only-lru"
+
+        register_policy(TestOnlyPolicy)
+        try:
+            assert not supports_fast_split("test-only-lru", "next_k")
+            circuit = build_workload("draper_adder", 12)
+            stack = standard_stack("steane", 2, compute_qubits=12)
+            with caplog.at_level(logging.DEBUG, logger="repro.sim.levels"):
+                result = simulate_hierarchy_run(
+                    stack, circuit, "test-only-lru", prefetch="next_k"
+                )
+                simulate_hierarchy_run(stack, circuit, "lru", prefetch="next_k")
+        finally:
+            del policies._REGISTRY["test-only-lru"]
+        assert result.policy == "test-only-lru"
+        records = [r for r in caplog.records if r.name == "repro.sim.levels"]
+        assert len(records) == 1  # the covered lru run logs nothing
+        assert records[0].levelno == logging.DEBUG
+        message = records[0].getMessage()
+        assert "'test-only-lru'" in message and "'next_k'" in message
