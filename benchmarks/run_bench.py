@@ -436,7 +436,7 @@ def _bench_multi_group_pricing_speedup(alternations: int = 3):
             elapsed = time.perf_counter() - t0
             grouped = elapsed if grouped is None else min(grouped, elapsed)
             t0 = time.perf_counter()
-            price_movement_traces_multi(groups, engine="numpy")
+            price_movement_traces_multi(groups)
             elapsed = time.perf_counter() - t0
             multi = elapsed if multi is None else min(multi, elapsed)
         return grouped / multi

@@ -15,12 +15,13 @@ This module is the compiled-down replica that
   the per-qubit movement queues hold those records directly, so a
   completed movement launches its successor without allocating a
   closure;
-* replacement state is the specialized dict-per-level machinery of
-  :mod:`repro.sim.replay` (insertion-ordered dicts, a shared
-  incremental score window, int-keyed lazy Belady heaps) extended with
-  the exclusion sets and non-destructive victim peeks prefetching
-  needs, plus a per-level trip ledger for ``fidelity`` — all five
-  shipped policies run here;
+* replacement state and victim rules are
+  :class:`repro.sim.replay._FlatReplacement`, the one flattened
+  definition of each shipped policy that replay extraction runs too
+  (insertion-ordered dicts, a shared incremental score window,
+  int-keyed lazy Belady heaps with non-destructive victim peeks, the
+  ``fidelity`` trip ledger); this engine adds the exclusion sets
+  prefetching needs — all five shipped policies run here;
 * the prefetch walk is slice-free (an epoch-stamped array replaces the
   per-call ``seen`` set), lazy for ``next_k`` (the reference walk has
   no side effects, so candidates the budget never reaches are never
@@ -48,7 +49,7 @@ the real registry objects.
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set
 
 from ..circuits.circuit import Circuit
 from .levels import (
@@ -60,9 +61,8 @@ from .levels import (
     HierarchyStack,
     LevelStat,
 )
-from .policies import ScorePolicy
 from .prefetch import DistancePrefetcher, NextKPrefetcher
-from .replay import _scan_program
+from .replay import _FLAT_POLICIES, _FlatReplacement, _scan_program
 
 __all__ = ["simulate_split_fast", "supports_fast_split"]
 
@@ -93,25 +93,23 @@ _K_HOP, _K_WB = 0, 1
 # successor — the reference's ``_Trigger`` subscriptions, flattened
 # (each trigger ever has at most one subscriber).
 
-_FAST_POLICIES = frozenset({"belady", "fidelity", "fifo", "lru", "score"})
 _FAST_PREFETCHERS = frozenset({"distance", "next_k", "none"})
-
-_SCORE_WINDOW = ScorePolicy().window  # the reference's default lookahead
 
 
 def supports_fast_split(policy: str, prefetch: str) -> bool:
     """True when the flattened engine covers (policy, prefetch).
 
-    All five shipped policies (``belady``, ``fidelity``, ``fifo``,
-    ``lru``, ``score``) and all three shipped prefetchers are
-    specialized, so every shipped cell runs flattened; any
-    user-registered extension falls back to the reference engine, which
-    drives the real registry objects.  The ``next_k`` walk may stop at
-    its first vetoed candidate because candidates arrive in increasing
-    next use against a victim that only changes on acceptance — every
-    later candidate of the round would be vetoed too.
+    Policies are read from the one flattened set of
+    :mod:`repro.sim.replay` (``_FLAT_POLICIES``, every shipped policy)
+    and all three shipped prefetchers are specialized, so every shipped
+    cell runs flattened; any user-registered extension falls back to
+    the reference engine, which drives the real registry objects.  The
+    ``next_k`` walk may stop at its first vetoed candidate because
+    candidates arrive in increasing next use against a victim that only
+    changes on acceptance — every later candidate of the round would be
+    vetoed too.
     """
-    return policy in _FAST_POLICIES and prefetch in _FAST_PREFETCHERS
+    return policy in _FLAT_POLICIES and prefetch in _FAST_PREFETCHERS
 
 
 def simulate_split_fast(
@@ -157,7 +155,6 @@ def simulate_split_fast(
 
     heappush = heapq.heappush
     heappop = heapq.heappop
-    heapify = heapq.heapify
 
     # --- event kernel + port servers ---------------------------------
     events: List[tuple] = []
@@ -167,154 +164,30 @@ def simulate_split_fast(
     port_queues: List[List[tuple]] = [[] for _ in range(n_nets)]
     qseq = [0] * n_nets
 
-    # --- replacement state (as in repro.sim.replay) ------------------
-    orders_: List[dict] = [{} for _ in range(n_finite)]
+    # --- replacement state (shared with repro.sim.replay) ------------
+    prefetching = prefetch != "none"
+    repl = _FlatReplacement(
+        policy, program, caps, n_qubits, stack.depth, track_next=prefetching
+    )
+    orders_ = repl.orders
     d0 = orders_[0]
     cap0 = caps[0]
-    refresh_on_hit = policy != "fifo"
-    track_nu = policy == "belady"
-    keybase: Sequence[int] = ()
-    qkb: List[int] = []
-    cur_key: List[int] = []
-    bheaps: List[List[Tuple[int, int]]] = [[] for _ in range(n_finite)]
+    select_victim = repl.victim
+    refresh_on_hit = repl.refresh_on_hit
+    track_nu = repl.track_nu
+    track_trips = repl.track_trips
+    track_next = repl.track_next
+    span = repl.span
+    keybase = repl.keybase
+    qkb = repl.qkb
+    cur_key = repl.cur_key
+    bheaps = repl.bheaps
     bh0 = bheaps[0]
     bseq = 0
-    span = n * max(stack.depth, 64) + 1
-    if track_nu:
-        keybase = program.belady_keys(span)
-        qkb = [0] * n_qubits
-        cur_key = [0] * n_qubits
-    wpos = -1
-    counts: List[int] = []
-    if policy == "score":
-        counts = [0] * n_qubits
-        for q in trace[:_SCORE_WINDOW]:
-            counts[q] += 1
-    # fidelity: per-level lifetime insertion counts (FidelityPolicy's
-    # trip ledger) and trip count -> current residents at it.
-    track_trips = policy == "fidelity"
-    trips: List[List[int]] = []
-    tallies: List[dict] = []
-    if track_trips:
-        trips = [[0] * n_qubits for _ in range(n_finite)]
-        tallies = [{} for _ in range(n_finite)]
-
-    def trip_insert(i, q):
-        tr = trips[i]
-        count = tr[q] + 1
-        tr[q] = count
-        tally = tallies[i]
-        tally[count] = tally.get(count, 0) + 1
-
-    def trip_remove(i, q):
-        count = trips[i][q]
-        tally = tallies[i]
-        remaining = tally[count] - 1
-        if remaining:
-            tally[count] = remaining
-        else:
-            del tally[count]
-
-    def victim_recency(i, vpos, excl):
-        d = orders_[i]
-        for q in d:
-            if q not in excl:
-                return q
-        return next(iter(d))  # unsatisfiable pin: fall back
-
-    def victim_score(i, vpos, excl):
-        nonlocal wpos
-        while wpos < vpos:
-            wpos += 1
-            counts[trace[wpos]] -= 1
-            entering = wpos + _SCORE_WINDOW
-            if entering < n:
-                counts[trace[entering]] += 1
-        best = None
-        best_score = None
-        for q in orders_[i]:  # LRU-first iteration breaks ties
-            if q in excl:
-                continue
-            score = counts[q]
-            if best_score is None or score < best_score:
-                best, best_score = q, score
-                if score == 0:
-                    break
-        if best is None:
-            return next(iter(orders_[i]))
-        return best
-
-    def victim_belady(i, vpos, excl):
-        # Non-destructive peek over the lazy heap: the winning entry is
-        # pushed back (prefetch vetoes may leave the victim resident);
-        # an actual eviction stales it through the residency check.
-        h = bheaps[i]
-        d = orders_[i]
-        if len(h) > (len(d) << 2) + 64:
-            h[:] = [e for e in h if cur_key[e[1]] == e[0] and e[1] in d]
-            heapify(h)
-        stash = None
-        while h:
-            key, q = heappop(h)
-            if q not in d or cur_key[q] != key:
-                continue  # stale: the qubit moved since this push
-            if q in excl:
-                if stash is None:
-                    stash = []
-                stash.append((key, q))
-                continue
-            heappush(h, (key, q))
-            if stash:
-                for e in stash:
-                    heappush(h, e)
-            return q
-        if stash:  # unsatisfiable pin: fall back like the reference
-            for e in stash:
-                heappush(h, e)
-        return next(iter(d))
-
-    def victim_fidelity(i, vpos, excl):
-        # FidelityPolicy.victim: fewest lifetime trips at this level,
-        # then farthest next_use(q, vpos), then LRU order.
-        d = orders_[i]
-        tr = trips[i]
-        if excl:
-            fewest = None
-            for q in d:
-                if q not in excl:
-                    count = tr[q]
-                    if fewest is None or count < fewest:
-                        fewest = count
-            if fewest is None:  # unsatisfiable pin: fall back
-                return next(iter(d))
-        else:
-            fewest = min(tallies[i])
-        # nu_now[q] is q's first use at/after the scan pointer (== vpos);
-        # next_use(q, vpos) is the first use strictly after it.  Victims
-        # are only chosen for an access or a candidate at/after vpos, so
-        # vpos < n.
-        after = next_pos[vpos]
-        best = None
-        best_dist = -1
-        for q in d:  # LRU-first iteration breaks ties
-            if tr[q] != fewest or q in excl:
-                continue
-            dist = nu_now[q]
-            if dist == vpos:
-                dist = after
-            if dist == n:  # never used again
-                return q
-            if dist > best_dist:
-                best, best_dist = q, dist
-        return best
-
-    select_victim = {
-        "lru": victim_recency,
-        "fifo": victim_recency,
-        "score": victim_score,
-        "belady": victim_belady,
-        "fidelity": victim_fidelity,
-    }[policy]
+    next_pos = repl.next_pos
+    nu_now = repl.nu_now
+    trip_insert = repl.trip_insert
+    trip_remove = repl.trip_remove
 
     # --- run state ----------------------------------------------------
     location = [-1] * n_qubits
@@ -338,23 +211,11 @@ def simulate_split_fast(
     prefetches_used = 0
     pos = 0
 
-    prefetching = prefetch != "none"
     # next_k walks candidates in increasing next use (see the veto).
     monotone_walk = prefetch == "next_k"
-    track_next = prefetching or track_trips
-    next_pos: Sequence[int] = ()
-    nu_now: List[int] = []
     stamp: List[int] = []
     epoch = 0
     walk_k = walk_horizon = 0
-    if track_next:
-        next_pos = program.next_pos()
-        # nu_now[q]: first occurrence of q at/after the scan pointer —
-        # the reference's TraceIndex.next_use(q, pos - 1), maintained
-        # incrementally (one store per operand) instead of bisected.
-        nu_now = [n] * n_qubits
-        for p in range(n - 1, -1, -1):
-            nu_now[trace[p]] = p
     if prefetching:
         walker = _WALKERS[prefetch]
         walk_k = walker.k

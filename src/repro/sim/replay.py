@@ -17,16 +17,13 @@ module exploits it:
   port-reservation arithmetic float-for-float, so its
   :class:`~repro.sim.levels.HierarchyEngineResult` is bit-identical to
   a fresh :func:`~repro.sim.levels.simulate_hierarchy_run`;
-* :func:`price_movement_trace_batch` prices the trace across **many**
-  stacks at once — scalar per config below
-  :data:`BATCH_NUMPY_THRESHOLD` configs, a vectorized numpy pass (one
-  ``(configs, lanes)`` array per network) above it;
 * :func:`price_movement_traces_multi` prices **many traces** — one per
-  traffic group, each against its own stacks — in a single pass: the
-  variable-length miss and gate streams are padded into one numpy
-  batch whose columns are all (group x config) cells of the grid, so
-  the per-step interpreter overhead is paid once for the whole design
-  space instead of once per group;
+  traffic group, each against its own stacks — in a single pass: from
+  :data:`MULTI_NUMPY_THRESHOLD` cells up the variable-length miss and
+  gate streams are padded into one numpy batch whose columns are all
+  (group x config) cells of the grid, so the per-step interpreter
+  overhead is paid once for the whole design space instead of once per
+  stack; :func:`price_movement_trace_batch` is its one-group case;
 * :func:`trace_key` / :meth:`MovementTrace.from_bytes` round-trip a
   trace through a content-addressed blob (see
   :class:`repro.perf.tracecache.TraceCache`): the key folds the
@@ -34,13 +31,16 @@ module exploits it:
   :data:`TRACE_FORMAT_VERSION`, so a layout change can only ever miss,
   never decode stale bytes wrongly.
 
-The extraction has two implementations: a *specialized* flattened loop
-for the four shipped eviction policies (dict-as-recency-order, an
-incremental score window, and an O(1) Belady next-use scheme over a
-precomputed ``next_pos`` array) and a *generic* fallback that drives
+The extraction has two implementations: a *flattened* loop for the
+five shipped eviction policies and a *generic* fallback that drives
 the real :class:`~repro.sim.policies.PolicyCache` objects for any
-other registered policy.  Both are pinned equal to each other and to
-the retained reference engine by the equivalence tests.
+other registered policy (logged at DEBUG).  The flattened loop runs
+:class:`_FlatReplacement` — dict-as-recency-order, an incremental score
+window, an O(1) Belady next-use scheme over a precomputed ``next_pos``
+array and the ``fidelity`` trip ledger — the one definition of each
+shipped policy's victim rule that :mod:`repro.sim.fastsplit` runs too.
+Both loops are pinned equal to each other and to the retained
+reference engine by the equivalence tests.
 
 Batching is bypassed — cells fall back to per-cell simulation — for
 split-transaction runs with prefetching (``prefetch != "none"``): port
@@ -55,7 +55,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
-import math
+import logging
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
@@ -68,10 +68,9 @@ from .levels import (
     _resolve_order,
     _resolve_workload,
 )
-from .policies import PolicyCache, make_policy, validate_policy
+from .policies import PolicyCache, ScorePolicy, make_policy, validate_policy
 
 __all__ = [
-    "BATCH_NUMPY_THRESHOLD",
     "MULTI_NUMPY_THRESHOLD",
     "MovementTrace",
     "TRACE_FORMAT_VERSION",
@@ -82,21 +81,20 @@ __all__ = [
     "trace_key",
 ]
 
-_INF = math.inf
+logger = logging.getLogger(__name__)
 
-#: Policies with a hand-flattened extraction loop; anything else goes
-#: through the generic :class:`~repro.sim.policies.PolicyCache` path.
-_SPECIALIZED_POLICIES = frozenset({"lru", "fifo", "score", "belady"})
+#: The policies with a flattened victim kernel (:class:`_FlatReplacement`).
+#: This one set gates both fast engines — the extraction here and
+#: :func:`repro.sim.fastsplit.supports_fast_split`; any other
+#: registered policy runs through its :class:`~repro.sim.policies.PolicyCache`.
+_FLAT_POLICIES = frozenset({"belady", "fidelity", "fifo", "lru", "score"})
 
-#: Config count at which the numpy batch pricer overtakes the scalar
-#: loop (numpy pays a fixed per-event overhead that only amortizes
-#: across enough configurations).
-BATCH_NUMPY_THRESHOLD = 32
+_SCORE_WINDOW = ScorePolicy().window  # the reference's default lookahead
 
-#: Total (group x config) cell count at which the one-pass multi-trace
-#: pricer overtakes per-group pricing.  Its per-step masking overhead
-#: is paid once for *all* columns, but it is higher than one group's
-#: per-step cost, so tiny grids stay on the per-group engines.
+#: Total (group x config) cell count from which the one-pass numpy
+#: pricer overtakes the scalar one.  numpy pays a fixed per-step
+#: overhead that only amortizes across enough columns, so smaller
+#: batches are priced one stack at a time.
 MULTI_NUMPY_THRESHOLD = 24
 
 #: Serialization version of :meth:`MovementTrace.to_bytes` blobs.
@@ -381,73 +379,273 @@ def _extract(
     program: _ScanProgram,
 ) -> MovementTrace:
     """Dispatch to the flattened or the generic extraction loop."""
-    if policy in _SPECIALIZED_POLICIES:
-        return _extract_specialized(stack, circuit, policy, program)
+    if policy in _FLAT_POLICIES:
+        return _extract_flat(stack, circuit, policy, program)
+    logger.debug(
+        "traffic extraction of policy=%r falls back to the PolicyCache "
+        "path: repro.sim.replay has no flattened kernel for it",
+        policy,
+    )
     return _extract_generic(stack, circuit, policy, program)
 
 
-def _trace_from_state(
-    stack: HierarchyStack,
-    circuit: Circuit,
-    policy: str,
-    program: _ScanProgram,
-    gate_nmiss: List[int],
-    miss_src: List[int],
-    miss_evict: List[int],
-    miss_clen: List[int],
-    fetches: List[int],
-    writebacks: List[int],
-    bottom_hits: int,
-    accesses: List[int],
-    hits: List[int],
-    misses: List[int],
-    evictions: List[int],
-    location: Dict[int, int],
-) -> MovementTrace:
-    """Assemble the :class:`MovementTrace` from an extraction's state."""
-    occupancy = [0] * stack.depth
-    for lvl in location.values():
-        occupancy[lvl] += 1
-    return MovementTrace(
-        workload=circuit.name or f"circuit-{circuit.n_qubits}q",
-        policy=policy,
-        depth=stack.depth,
-        capacities=tuple(level.capacity for level in stack.levels),
-        gate_ec=program.gate_ec_tuple,
-        gate_nmiss=tuple(gate_nmiss),
-        miss_src=tuple(miss_src),
-        miss_evict=tuple(miss_evict),
-        miss_clen=tuple(miss_clen),
-        fetches=tuple(fetches),
-        writebacks=tuple(writebacks),
-        bottom_hits=bottom_hits,
-        level_accesses=tuple(accesses),
-        level_hits=tuple(hits),
-        level_misses=tuple(misses),
-        level_evictions=tuple(evictions),
-        final_occupancy=tuple(occupancy),
-        total_ec=program.total_ec,
+class _FlatReplacement:
+    """The flattened replacement state of one run's finite levels.
+
+    Replicates :class:`~repro.sim.policies.PolicyCache` plus the shipped
+    policy classes exactly, for both fast engines (this module's
+    extraction and :mod:`repro.sim.fastsplit`).  One insertion-ordered
+    dict per level (``orders``) doubles as resident set and recency
+    order — a hit reinserts, matching ``OrderedDict.move_to_end``, when
+    ``refresh_on_hit``.  :attr:`victim` ``(level, pos, excluded)`` names
+    the resident to displace without removing it, with the reference's
+    unsatisfiable-pin fallback (the returned qubit may be excluded when
+    every resident is).  The engine owns every insert, remove and
+    access and keeps the per-policy state below in step:
+
+    * ``belady`` (``track_nu``): one lazily-pruned min-heap per level
+      over int-keyed 2-tuples ``(seq - dist * span, q)``, where
+      ``dist`` is the next use cached at the qubit's last compute-level
+      access and ``seq`` a monotone push counter the engine keeps;
+      ``span`` exceeds every seq, so the heap pops by descending next
+      use, oldest push first — the reference scan's LRU-first
+      tie-break (every recency refresh is accompanied by a push; finite
+      next uses are globally unique, so real ties only arise among
+      never-used-again qubits, where push order *is* recency order).
+      An entry is current iff ``q`` is resident at the level it was
+      pushed for and the entry is the latest push for ``q``
+      (``cur_key[q]`` matches; seq makes keys globally unique).  A next
+      use only changes at a compute-level access of ``q``, which pushes
+      a fresh entry, and every inter-level move pushes into the
+      destination heap.  ``keybase`` precomputes the ``-dist * span``
+      part per trace position; a cascaded victim's next use carries
+      down unchanged (it cannot have recurred since its last touch —
+      the occurrence would have been a demand access pulling it up), so
+      ``qkb[q]`` remembers the base from the last compute-level access.
+      The victim peek is non-destructive (a prefetch veto may leave the
+      victim resident): the winner is read off the heap top and stays
+      there, and an eviction stales it through the residency check.
+    * ``score``: the reference keeps one sliding window per level, but
+      the window content is a pure function of the sync position and
+      every victim call syncs to the current operand position — so all
+      levels observe identical counts and one shared window suffices.
+    * ``fidelity`` (``track_trips``): per-level lifetime insertion
+      counts (``FidelityPolicy``'s trip ledger) and a trip count ->
+      current residents tally, kept by :attr:`trip_insert` /
+      :attr:`trip_remove` at exactly the ``on_insert`` / ``on_remove``
+      points of the reference.
+    * ``track_next`` (always on for ``fidelity``): ``nu_now[q]`` is the
+      first occurrence of ``q`` at/after the scan pointer — the
+      reference's ``TraceIndex.next_use(q, pos - 1)``, kept incrementally
+      by the engine storing ``nu_now[q] = next_pos[pos]`` once per
+      operand access instead of bisected.
+    """
+
+    __slots__ = (
+        "orders",
+        "victim",
+        "refresh_on_hit",
+        "track_nu",
+        "track_trips",
+        "track_next",
+        "span",
+        "keybase",
+        "qkb",
+        "cur_key",
+        "bheaps",
+        "next_pos",
+        "nu_now",
+        "trip_insert",
+        "trip_remove",
     )
 
+    def __init__(
+        self,
+        policy: str,
+        program: _ScanProgram,
+        caps: Sequence[int],
+        n_qubits: int,
+        depth: int,
+        track_next: bool = False,
+    ) -> None:
+        trace = program.trace
+        n = len(trace)
+        n_finite = len(caps)
+        orders: List[Dict[int, None]] = [{} for _ in range(n_finite)]
+        bheaps: List[List[Tuple[int, int]]] = [[] for _ in range(n_finite)]
+        self.orders = orders
+        self.bheaps = bheaps
+        self.refresh_on_hit = policy != "fifo"
+        self.track_nu = policy == "belady"
+        self.track_trips = policy == "fidelity"
+        self.track_next = track_next or self.track_trips
+        # span must exceed the total push count (<= depth pushes per
+        # trace position); a depth-independent value keeps the
+        # precomputed key bases shared across stacks of different depths.
+        self.span = n * max(depth, 64) + 1
+        self.keybase: Sequence[int] = ()
+        self.qkb: List[int] = []
+        cur_key: List[int] = []
+        if self.track_nu:
+            self.keybase = program.belady_keys(self.span)
+            self.qkb = [0] * n_qubits
+            cur_key = [0] * n_qubits
+        self.cur_key = cur_key
+        next_pos: Sequence[int] = ()
+        nu_now: List[int] = []
+        if self.track_next:
+            next_pos = program.next_pos()
+            nu_now = [n] * n_qubits
+            for p in range(n - 1, -1, -1):
+                nu_now[trace[p]] = p
+        self.next_pos = next_pos
+        self.nu_now = nu_now
+        trips: List[List[int]] = []
+        tallies: List[Dict[int, int]] = []
+        if self.track_trips:
+            trips = [[0] * n_qubits for _ in range(n_finite)]
+            tallies = [{} for _ in range(n_finite)]
+        wpos = -1
+        counts: List[int] = []
+        if policy == "score":
+            counts = [0] * n_qubits
+            for q in trace[:_SCORE_WINDOW]:
+                counts[q] += 1
+        heappush = heapq.heappush
+        heappop = heapq.heappop
 
-def _extract_specialized(
+        def trip_insert(i, q):
+            tr = trips[i]
+            count = tr[q] + 1
+            tr[q] = count
+            tally = tallies[i]
+            tally[count] = tally.get(count, 0) + 1
+
+        def trip_remove(i, q):
+            count = trips[i][q]
+            tally = tallies[i]
+            remaining = tally[count] - 1
+            if remaining:
+                tally[count] = remaining
+            else:
+                del tally[count]
+
+        def victim_recency(i, pos, excl):
+            d = orders[i]
+            if not excl:
+                return next(iter(d))
+            for q in d:
+                if q not in excl:
+                    return q
+            return next(iter(d))  # unsatisfiable pin: fall back
+
+        def victim_score(i, pos, excl):
+            nonlocal wpos
+            while wpos < pos:  # slide the window to cover pos+1..pos+window
+                wpos += 1
+                counts[trace[wpos]] -= 1
+                entering = wpos + _SCORE_WINDOW
+                if entering < n:
+                    counts[trace[entering]] += 1
+            best = None
+            best_score = None
+            for q in orders[i]:  # LRU-first iteration breaks ties
+                if q in excl:
+                    continue
+                score = counts[q]
+                if best_score is None or score < best_score:
+                    best, best_score = q, score
+                    if score == 0:
+                        break
+            if best is None:
+                return next(iter(orders[i]))
+            return best
+
+        def victim_belady(i, pos, excl):
+            h = bheaps[i]
+            d = orders[i]
+            if len(h) > (len(d) << 2) + 64:
+                # Compact: stale entries otherwise accumulate and deepen
+                # every subsequent sift (the heap is lazily pruned).
+                h[:] = [e for e in h if cur_key[e[1]] == e[0] and e[1] in d]
+                heapq.heapify(h)
+            stash = None
+            while h:
+                key, q = h[0]
+                if q not in d or cur_key[q] != key:
+                    heappop(h)  # stale: the qubit moved since this push
+                    continue
+                if q not in excl:
+                    break
+                if stash is None:
+                    stash = []
+                stash.append(heappop(h))
+            else:
+                q = next(iter(d))  # unsatisfiable pin: fall back
+            if stash:
+                for e in stash:
+                    heappush(h, e)
+            return q
+
+        def victim_fidelity(i, pos, excl):
+            # FidelityPolicy.victim: fewest lifetime trips at this level,
+            # then farthest next_use(q, pos), then LRU order.
+            d = orders[i]
+            tr = trips[i]
+            if excl:
+                fewest = None
+                for q in d:
+                    if q not in excl:
+                        count = tr[q]
+                        if fewest is None or count < fewest:
+                            fewest = count
+                if fewest is None:  # unsatisfiable pin: fall back
+                    return next(iter(d))
+            else:
+                fewest = min(tallies[i])
+            # nu_now[q] is q's first use at/after the scan pointer (==
+            # pos); next_use(q, pos) is the first use strictly after it.
+            # Victims are only chosen for an access or a prefetch
+            # candidate at/after pos, so pos < n.
+            after = next_pos[pos]
+            best = None
+            best_dist = -1
+            for q in d:  # LRU-first iteration breaks ties
+                if tr[q] != fewest or q in excl:
+                    continue
+                dist = nu_now[q]
+                if dist == pos:
+                    dist = after
+                if dist == n:  # never used again
+                    return q
+                if dist > best_dist:
+                    best, best_dist = q, dist
+            return best
+
+        self.trip_insert = trip_insert
+        self.trip_remove = trip_remove
+        self.victim = {
+            "lru": victim_recency,
+            "fifo": victim_recency,
+            "score": victim_score,
+            "belady": victim_belady,
+            "fidelity": victim_fidelity,
+        }[policy]
+
+
+def _extract_flat(
     stack: HierarchyStack,
     circuit: Circuit,
     policy: str,
     program: _ScanProgram,
 ) -> MovementTrace:
-    """The flattened extraction loop for the four shipped policies.
+    """The flattened extraction loop for the shipped policies.
 
-    Replicates :class:`~repro.sim.policies.PolicyCache` plus the
-    shipped policy classes exactly — one insertion-ordered dict per
-    level doubles as resident set and recency order (hits reinsert,
-    matching ``OrderedDict.move_to_end``), the score window slides
-    incrementally, and Belady reads next uses from the scan program's
-    ``next_pos`` array instead of bisecting (a demand access at
-    position ``p`` *is* an occurrence of its qubit, and a cascaded
-    victim cannot have recurred since its last touch — the occurrence
-    would have been a demand access pulling it up — so cached next
-    uses stay exact all the way down the stack).
+    Runs :class:`_FlatReplacement` through the reservation model's scan.
+    Belady reads next uses from the scan program's ``next_pos`` array
+    instead of bisecting (a demand access at position ``p`` *is* an
+    occurrence of its qubit, and a cascaded victim's cached next use
+    stays exact all the way down the stack).
 
     The loop records only the per-miss ``(src, evicted, cascade)``
     triples; every access/hit/traffic counter is derived from them
@@ -456,130 +654,24 @@ def _extract_specialized(
     """
     bottom = stack.depth - 1
     caps = [level.capacity for level in stack.levels[:-1]]
-    n_finite = len(caps)
-    trace = program.trace
-    n = len(trace)
-    orders: List[Dict[int, None]] = [{} for _ in range(n_finite)]
-    refresh_on_hit = policy != "fifo"
-    track_nu = policy == "belady"
+    repl = _FlatReplacement(policy, program, caps, circuit.n_qubits, stack.depth)
+    orders = repl.orders
+    select_victim = repl.victim
+    refresh_on_hit = repl.refresh_on_hit
+    track_nu = repl.track_nu
+    track_trips = repl.track_trips
+    track_next = repl.track_next
+    keybase = repl.keybase
+    qkb = repl.qkb
+    cur_key = repl.cur_key
+    bheaps = repl.bheaps
+    next_pos = repl.next_pos
+    nu_now = repl.nu_now
+    trip_insert = repl.trip_insert
+    trip_remove = repl.trip_remove
     heappush = heapq.heappush
-    heappop = heapq.heappop
-    heapify = heapq.heapify
-
-    # --- per-policy victim state -------------------------------------
-    # Belady: one lazily-pruned max-heap per level over int-keyed
-    # 2-tuples ``(seq - dist * span, q)`` where ``dist`` is the next
-    # use cached at the qubit's last compute-level access, ``seq`` a
-    # monotone push counter and ``span`` exceeds every seq — the
-    # min-heap then pops by descending next use, oldest push first,
-    # which is the reference scan's LRU-first tie-break (every recency
-    # refresh is accompanied by a push; finite next uses are globally
-    # unique, so real ties only arise among never-used-again qubits,
-    # where push order *is* recency order).  An entry is current iff
-    # ``q`` is resident at the level it was pushed for and the entry
-    # *is* the latest push for ``q`` (``cur_key[q]`` matches; seq makes
-    # keys globally unique): a next use can only change at a
-    # compute-level access of ``q`` — where it strictly increases and a
-    # fresh entry is pushed — and every inter-level move pushes into
-    # the destination heap, so the latest push always lives in the heap
-    # of the qubit's current level.  ``keybase`` precomputes the
-    # ``-dist * span`` part per trace position (a cascaded victim's
-    # next use carries down unchanged — it cannot have recurred since
-    # its last touch, the occurrence would have been a demand access
-    # pulling it up — so ``qkb[q]`` simply remembers the base from the
-    # last compute-level access).
-    keybase: Sequence[int] = ()
-    qkb: List[int] = []
-    cur_key: List[int] = []
-    bheaps: List[List[Tuple[int, int]]] = [[] for _ in range(n_finite)]
     bseq = 0
-    # span must exceed the total push count (≤ depth pushes per trace
-    # position); a depth-independent value keeps the precomputed key
-    # bases shared across stacks of different depths.
-    span = n * max(stack.depth, 64) + 1
-    if track_nu:
-        keybase = program.belady_keys(span)
-        qkb = [0] * circuit.n_qubits
-        cur_key = [0] * circuit.n_qubits
-    # Score: the reference keeps one sliding window per level, but the
-    # window content is a pure function of the sync position and every
-    # victim call syncs its level to the current operand position — so
-    # all levels always observe identical counts, and one shared
-    # window suffices.
-    window = 256  # ScorePolicy's default lookahead
-    wpos = -1
-    counts: List[int] = []
-    if policy == "score":
-        counts = [0] * circuit.n_qubits
-        for q in trace[:window]:
-            counts[q] += 1
 
-    def victim_recency(i, pos, pinned):
-        d = orders[i]
-        if not pinned:
-            return next(iter(d))
-        for q in d:
-            if q not in pinned:
-                return q
-        return next(iter(d))  # unsatisfiable pin: fall back
-
-    def victim_score(i, pos, pinned):
-        nonlocal wpos
-        while wpos < pos:  # slide the window to cover pos+1..pos+window
-            wpos += 1
-            counts[trace[wpos]] -= 1
-            entering = wpos + window
-            if entering < n:
-                counts[trace[entering]] += 1
-        best = None
-        best_score = None
-        for q in orders[i]:  # LRU-first iteration breaks ties
-            if q in pinned:
-                continue
-            score = counts[q]
-            if best_score is None or score < best_score:
-                best, best_score = q, score
-                if score == 0:
-                    break
-        if best is None:
-            return next(iter(orders[i]))
-        return best
-
-    def victim_belady(i, pos, pinned):
-        h = bheaps[i]
-        d = orders[i]
-        if len(h) > (len(d) << 2) + 64:
-            # Compact: stale entries otherwise accumulate and deepen
-            # every subsequent sift (the heap is lazily pruned).
-            h[:] = [e for e in h if cur_key[e[1]] == e[0] and e[1] in d]
-            heapify(h)
-        stash = None
-        while h:
-            key, q = heappop(h)
-            if q not in d or cur_key[q] != key:
-                continue  # stale: the qubit moved since this push
-            if q in pinned:
-                if stash is None:
-                    stash = []
-                stash.append((key, q))
-                continue
-            if stash:
-                for e in stash:
-                    heappush(h, e)
-            return q
-        if stash:  # unsatisfiable pin: fall back like the scan
-            for e in stash:
-                heappush(h, e)
-        return next(iter(d))
-
-    select_victim = {
-        "lru": victim_recency,
-        "fifo": victim_recency,
-        "score": victim_score,
-        "belady": victim_belady,
-    }[policy]
-
-    # --- the scan ----------------------------------------------------
     location = [-1] * circuit.n_qubits
     for q in program.touched:
         location[q] = bottom
@@ -595,43 +687,46 @@ def _extract_specialized(
     cap0 = caps[0]
     h0 = bheaps[0]
     pos = 0
-    # Two copies of the scan so the per-access policy checks stay out
-    # of the inner loop: the Belady variant threads the heap pushes,
-    # the recency/score variant only maintains the ordered dicts.
-    if track_nu:
-        for qubits in program.gate_qubits:
-            nmiss = 0
-            j = 0
-            for q in qubits:
-                src = location[q]
-                if src == 0:
-                    # Guaranteed hit at the compute level.
+    for qubits in program.gate_qubits:
+        nmiss = 0
+        j = 0
+        for q in qubits:
+            src = location[q]
+            if src == 0:
+                # Guaranteed hit at the compute level.
+                if refresh_on_hit:
                     del d0[q]
                     d0[q] = None
+                if track_nu:
                     kb = keybase[pos]
                     qkb[q] = kb
                     key = bseq + kb
                     cur_key[q] = key
                     heappush(h0, (key, q))
                     bseq += 1
-                    j += 1
-                    pos += 1
-                    continue
+            else:
                 if src != bottom:
                     del orders[src][q]
+                    if track_trips:
+                        trip_remove(src, q)
                 evicted = None
                 if len(d0) >= cap0:
                     # The operands already issued for this gate are
                     # pinned (they cannot be teleported away mid-gate).
                     evicted = select_victim(0, pos, qubits[:j])
                     del d0[evicted]
+                    if track_trips:
+                        trip_remove(0, evicted)
                 d0[q] = None
-                kb = keybase[pos]
-                qkb[q] = kb
-                key = bseq + kb
-                cur_key[q] = key
-                heappush(h0, (key, q))
-                bseq += 1
+                if track_trips:
+                    trip_insert(0, q)
+                if track_nu:
+                    kb = keybase[pos]
+                    qkb[q] = kb
+                    key = bseq + kb
+                    cur_key[q] = key
+                    heappush(h0, (key, q))
+                    bseq += 1
                 location[q] = 0
                 clen = 0
                 if evicted is not None:
@@ -644,13 +739,18 @@ def _extract_specialized(
                         if len(d) >= caps[lvl]:
                             bumped = select_victim(lvl, pos, ())
                             del d[bumped]
+                            if track_trips:
+                                trip_remove(lvl, bumped)
                         d[victim] = None
-                        # The victim's cached next use carries down
-                        # unchanged (see the invariant above).
-                        key = bseq + qkb[victim]
-                        cur_key[victim] = key
-                        heappush(bheaps[lvl], (key, victim))
-                        bseq += 1
+                        if track_trips:
+                            trip_insert(lvl, victim)
+                        if track_nu:
+                            # The victim's cached next use carries down
+                            # unchanged.
+                            key = bseq + qkb[victim]
+                            cur_key[victim] = key
+                            heappush(bheaps[lvl], (key, victim))
+                            bseq += 1
                         if bumped is None:
                             break
                         location[bumped] = lvl + 1
@@ -661,72 +761,22 @@ def _extract_specialized(
                 append_evict(1 if evicted is not None else 0)
                 append_clen(clen)
                 nmiss += 1
-                j += 1
-                pos += 1
-            append_nmiss(nmiss)
-    else:
-        for qubits in program.gate_qubits:
-            nmiss = 0
-            j = 0
-            for q in qubits:
-                src = location[q]
-                if src == 0:
-                    # Guaranteed hit at the compute level.
-                    if refresh_on_hit:
-                        del d0[q]
-                        d0[q] = None
-                    j += 1
-                    pos += 1
-                    continue
-                if src != bottom:
-                    del orders[src][q]
-                evicted = None
-                if len(d0) >= cap0:
-                    # The operands already issued for this gate are
-                    # pinned (they cannot be teleported away mid-gate).
-                    evicted = select_victim(0, pos, qubits[:j])
-                    del d0[evicted]
-                d0[q] = None
-                location[q] = 0
-                clen = 0
-                if evicted is not None:
-                    location[evicted] = 1
-                    victim = evicted
-                    lvl = 1
-                    while lvl < bottom:
-                        d = orders[lvl]
-                        bumped = None
-                        if len(d) >= caps[lvl]:
-                            bumped = select_victim(lvl, pos, ())
-                            del d[bumped]
-                        d[victim] = None
-                        if bumped is None:
-                            break
-                        location[bumped] = lvl + 1
-                        victim = bumped
-                        lvl += 1
-                        clen += 1
-                append_src(src)
-                append_evict(1 if evicted is not None else 0)
-                append_clen(clen)
-                nmiss += 1
-                j += 1
-                pos += 1
-            append_nmiss(nmiss)
+            if track_next:
+                nu_now[q] = next_pos[pos]
+            j += 1
+            pos += 1
+        append_nmiss(nmiss)
 
-    occupancy = [0] * stack.depth
-    for q in program.touched:
-        occupancy[location[q]] += 1
     return _trace_from_misses(
         stack,
         circuit,
         policy,
         program,
+        location,
         gate_nmiss,
         miss_src,
         miss_evict,
         miss_clen,
-        occupancy,
     )
 
 
@@ -735,11 +785,11 @@ def _trace_from_misses(
     circuit: Circuit,
     policy: str,
     program: _ScanProgram,
+    location: List[int],
     gate_nmiss: List[int],
     miss_src: List[int],
     miss_evict: List[int],
     miss_clen: List[int],
-    occupancy: List[int],
 ) -> MovementTrace:
     """Derive every traffic counter from the per-miss records.
 
@@ -751,11 +801,16 @@ def _trace_from_misses(
     through levels ``1..clen`` — which also pins ``evictions[k] ==
     writebacks[k]`` for ``k >= 1`` and ``evictions[0] ==
     writebacks[0]`` (every compute-level eviction pairs with exactly
-    one write-back).
+    one write-back).  The policy only decides *which* qubit moves, never
+    how a move is counted, so this holds for every registered policy.
+    ``location[q]`` is the final level of qubit ``q``.
     """
     bottom = stack.depth - 1
     n_finite = bottom
     n_misses = len(miss_src)
+    occupancy = [0] * stack.depth
+    for q in program.touched:
+        occupancy[location[q]] += 1
     src_count = [0] * (bottom + 1)
     for s, cnt in Counter(miss_src).items():
         src_count[s] = cnt
@@ -816,18 +871,17 @@ def _extract_generic(
 ) -> MovementTrace:
     """Extraction through the real policy objects (any registered
     policy).  Identical event stream to ``_run_reservation`` with the
-    port arithmetic deleted."""
+    port arithmetic deleted; as on the flat path, the counters follow
+    from the miss stream (see :func:`_trace_from_misses`)."""
     bottom = stack.depth - 1
     trace = program.trace
     caches = [
         PolicyCache(level.capacity, make_policy(policy), trace)
         for level in stack.levels[:-1]
     ]
-    n_finite = len(caches)
-    fetches = [0] * n_finite
-    writebacks = [0] * n_finite
-    bottom_hits = 0
-    location = {q: bottom for q in program.touched}
+    location = [-1] * circuit.n_qubits
+    for q in program.touched:
+        location[q] = bottom
     gate_nmiss: List[int] = []
     miss_src: List[int] = []
     miss_evict: List[int] = []
@@ -843,21 +897,13 @@ def _extract_generic(
                 issued.add(q)
                 pos += 1
                 continue
-            for k in range(1, src):
-                caches[k].record_miss()
-            if src == bottom:
-                bottom_hits += 1
-            else:
+            if src != bottom:
                 caches[src].lookup_remove(q, pos)
-            for k in range(src - 1, 0, -1):
-                fetches[k] += 1
             _, evicted = caches[0].access_evicting(q, pos, issued)
             location[q] = 0
             issued.add(q)
-            fetches[0] += 1
             clen = 0
             if evicted is not None:
-                writebacks[0] += 1
                 location[evicted] = 1
                 victim = evicted
                 lvl = 1
@@ -865,7 +911,6 @@ def _extract_generic(
                     bumped = caches[lvl].insert(victim, pos)
                     if bumped is None:
                         break
-                    writebacks[lvl] += 1
                     location[bumped] = lvl + 1
                     victim = bumped
                     lvl += 1
@@ -877,24 +922,16 @@ def _extract_generic(
             pos += 1
         gate_nmiss.append(nmiss)
 
-    stats = [cache.stats for cache in caches]
-    return _trace_from_state(
+    return _trace_from_misses(
         stack,
         circuit,
         policy,
         program,
+        location,
         gate_nmiss,
         miss_src,
         miss_evict,
         miss_clen,
-        fetches,
-        writebacks,
-        bottom_hits,
-        [s.accesses for s in stats],
-        [s.hits for s in stats],
-        [s.misses for s in stats],
-        [s.evictions for s in stats],
-        location,
     )
 
 
@@ -1050,171 +1087,42 @@ def _result_from_trace(
 def price_movement_trace_batch(
     trace: MovementTrace,
     stacks: Sequence[HierarchyStack],
-    engine: str = "auto",
 ) -> List[HierarchyEngineResult]:
     """Price one movement trace across many stacks in one pass.
 
-    ``engine`` selects the arithmetic backend: ``"scalar"`` loops
-    :func:`price_movement_trace` per stack, ``"numpy"`` vectorizes
-    every port reservation across all configurations at once (one
-    ``(configs, max_lanes)`` free-time array per network, inf-padded
-    for narrower configs), ``"auto"`` picks numpy from
-    :data:`BATCH_NUMPY_THRESHOLD` configs up.  All backends are
-    bit-identical: the vector ops are the same IEEE-754 additions and
-    max/argmin selections the scalar heap performs.
+    The one-group case of :func:`price_movement_traces_multi`.
     """
-    if engine not in ("auto", "scalar", "numpy"):
-        raise ValueError(
-            f"unknown pricing engine {engine!r}; use 'auto', 'scalar' "
-            "or 'numpy'"
-        )
-    stacks = list(stacks)
-    for stack in stacks:
-        _check_geometry(trace, stack)
-    if engine == "auto":
-        engine = "numpy" if len(stacks) >= BATCH_NUMPY_THRESHOLD else "scalar"
-    if engine == "scalar":
-        return [price_movement_trace(trace, stack) for stack in stacks]
-    return _price_batch_numpy(trace, stacks)
-
-
-def _price_batch_numpy(
-    trace: MovementTrace, stacks: List[HierarchyStack]
-) -> List[HierarchyEngineResult]:
-    import numpy as np
-
-    n_cfg = len(stacks)
-    n_nets = trace.depth - 1
-    demote = np.empty((n_nets, n_cfg))
-    promote = np.empty((n_nets, n_cfg))
-    lanes = [[0] * n_cfg for _ in range(n_nets)]
-    for c, stack in enumerate(stacks):
-        for k, net in enumerate(stack.networks()):
-            demote[k, c] = net.demote_time_s
-            promote[k, c] = net.promote_time_s
-            lanes[k][c] = max(1, round(net.effective_concurrency))
-    # One (configs, lanes) free-time array per network; configs with
-    # fewer lanes are padded with +inf so argmin never selects a lane
-    # that does not exist.
-    free_t = []
-    for k in range(n_nets):
-        width = max(lanes[k])
-        arr = np.full((n_cfg, width), np.inf)
-        for c in range(n_cfg):
-            arr[c, : lanes[k][c]] = 0.0
-        free_t.append(arr)
-    top_op = np.array([stack.levels[0].op_time_s for stack in stacks])
-    rows = np.arange(n_cfg)
-
-    def reserve(k: int, ready, duration, hold=None):
-        """The greedy reservation, vectorized across configs.
-
-        Returns the per-config start times.  ``argmin`` picks each
-        config's earliest-free lane (ties are interchangeable — equal
-        floats), exactly the scalar heap's pop-min.
-        """
-        arr = free_t[k]
-        lane = arr.argmin(axis=1)
-        free = arr[rows, lane]
-        start = np.maximum(free, ready)
-        busy = start + duration
-        if hold is not None:
-            busy = busy + hold
-        arr[rows, lane] = busy
-        return start
-
-    d0 = demote[0]
-    p0 = promote[0]
-    zero = np.zeros(n_cfg)
-    compute_free = np.zeros(n_cfg)
-    transfer_wait = np.zeros(n_cfg)
-    compute_time = np.zeros(n_cfg)
-    msrc = trace.miss_src
-    mev = trace.miss_evict
-    mcl = trace.miss_clen
-    mi = 0
-    for ec, nmiss in zip(trace.gate_ec, trace.gate_nmiss):
-        arrivals = zero
-        for _ in range(nmiss):
-            src = msrc[mi]
-            ev = mev[mi]
-            clen = mcl[mi]
-            mi += 1
-            prev = zero
-            for k in range(src - 1, 0, -1):
-                start = reserve(k, prev, demote[k])
-                prev = start + demote[k]
-            if ev:
-                start = reserve(0, prev, d0, p0)
-                arrival = start + d0
-                available = arrival + p0
-                for lvl in range(1, clen + 1):
-                    start2 = reserve(lvl, available, promote[lvl])
-                    available = start2 + promote[lvl]
-            else:
-                start = reserve(0, prev, d0)
-                arrival = start + d0
-            arrivals = np.maximum(arrivals, arrival)
-        start = np.maximum(compute_free, arrivals)
-        delta = arrivals - compute_free
-        # Adding 0.0 where there was no wait preserves bits (the
-        # accumulators never go negative, so x + 0.0 == x exactly).
-        transfer_wait += np.where(delta > 0.0, delta, 0.0)
-        duration = ec * top_op
-        compute_free = start + duration
-        compute_time = compute_time + duration
-
-    return [
-        _result_from_trace(
-            trace,
-            stack,
-            float(compute_free[c]),
-            float(compute_time[c]),
-            float(transfer_wait[c]),
-        )
-        for c, stack in enumerate(stacks)
-    ]
+    return price_movement_traces_multi([(trace, stacks)])[0]
 
 
 def price_movement_traces_multi(
     groups: Sequence[Tuple[MovementTrace, Sequence[HierarchyStack]]],
-    engine: str = "auto",
 ) -> List[List[HierarchyEngineResult]]:
     """Price many traffic groups' traces in one pass over the grid.
 
     ``groups`` pairs each movement trace with the stacks it prices
     (every stack must match its trace's geometry); the return value is
-    one result list per group, in order — exactly
-    ``[price_movement_trace_batch(t, s) for t, s in groups]``, and
-    pinned bit-identical to it.
+    one result list per group, in order — each row bit-identical to
+    :func:`price_movement_trace` on that (trace, stack).
 
-    ``engine="grouped"`` runs that per-group loop; ``"numpy"`` pads the
-    variable-length miss and gate streams into one structured batch
-    whose columns are *all* (group x config) cells and replays them in
-    a single vectorized pass (see :func:`_price_multi_numpy`), so the
-    whole design space pays the per-step interpreter overhead once
-    instead of once per traffic group; ``"auto"`` picks the one-pass
-    engine from :data:`MULTI_NUMPY_THRESHOLD` total cells (and at
-    least two groups) up.
+    From :data:`MULTI_NUMPY_THRESHOLD` total (group x config) cells up,
+    even for a single group, the variable-length miss and gate streams
+    are padded into one structured batch whose columns are *all* cells
+    and replayed in a single vectorized pass (see
+    :func:`_price_multi_numpy`), so the whole design space pays the
+    per-step interpreter overhead once instead of once per traffic
+    group; below it every stack is priced by the scalar
+    :func:`price_movement_trace`.
     """
-    if engine not in ("auto", "grouped", "numpy"):
-        raise ValueError(
-            f"unknown pricing engine {engine!r}; use 'auto', 'grouped' "
-            "or 'numpy'"
-        )
     prepared: List[Tuple[MovementTrace, List[HierarchyStack]]] = []
     for trace, stacks in groups:
         stacks = list(stacks)
         for stack in stacks:
             _check_geometry(trace, stack)
         prepared.append((trace, stacks))
-    n_cells = sum(len(stacks) for _, stacks in prepared)
-    if engine == "auto":
-        pooled = len(prepared) >= 2 and n_cells >= MULTI_NUMPY_THRESHOLD
-        engine = "numpy" if pooled else "grouped"
-    if engine == "grouped" or n_cells == 0:
+    if sum(len(stacks) for _, stacks in prepared) < MULTI_NUMPY_THRESHOLD:
         return [
-            price_movement_trace_batch(trace, stacks)
+            [price_movement_trace(trace, stack) for stack in stacks]
             for trace, stacks in prepared
         ]
     return _price_multi_numpy(prepared)
@@ -1233,8 +1141,10 @@ def _price_multi_numpy(
     is shared across columns — so executing step ``m`` of every group
     simultaneously preserves each column's exact reservation order, and
     every per-column float op is the same IEEE-754 add/max/argmin the
-    per-group engines perform: results are bit-identical to
-    :func:`price_movement_trace_batch`.
+    scalar heap performs (``argmin`` picks each column's earliest-free
+    lane; lanes past a config's width are +inf, and ties are
+    interchangeable equal floats): results are bit-identical to
+    :func:`price_movement_trace`.
 
     The port phase never reads the compute clock (reservations depend
     only on earlier reservations), so the pass factorizes into a

@@ -11,7 +11,7 @@ Two invariants carry the whole batched-sweep design:
 * **Pricing exactness** — replaying that trace through the re-pricer
   must equal the direct simulator with ``==`` on every row field (the
   floats come out of the same arithmetic, not a tolerance away from
-  it), for both the scalar and the numpy batch engines.
+  it), for both the scalar and the numpy pricers.
 
 Plus the split-transaction pin: the flattened event loop
 (:mod:`repro.sim.fastsplit`) dispatched by ``simulate_hierarchy_run``
@@ -21,12 +21,14 @@ prefetcher × stack matrix.
 
 import logging
 import random
+from contextlib import contextmanager
 
 import pytest
 
 from repro.circuits.workloads import build_workload
 from repro.sim import policies
 from repro.sim.cache import simulate_optimized
+from repro.sim import fastsplit, replay
 from repro.sim.fastsplit import supports_fast_split
 from repro.sim.levels import (
     mixed_stack,
@@ -37,7 +39,12 @@ from repro.sim.levels import (
 from repro.sim.policies import LruPolicy, available_policies, register_policy
 from repro.sim.prefetch import available_prefetchers
 from repro.sim.replay import (
+    _extract_flat,
+    _extract_generic,
+    _price_multi_numpy,
+    _scan_program,
     extract_movement_trace,
+    price_movement_trace,
     price_movement_trace_batch,
     price_movement_traces_multi,
 )
@@ -47,6 +54,28 @@ from repro.sim.replay import (
 #: register an extension of its own).
 SHIPPED_POLICIES = available_policies()
 SHIPPED_PREFETCHERS = available_prefetchers()
+
+
+class _MruPolicy(LruPolicy):
+    """A test-only extension: evict the *most* recently used resident."""
+
+    name = "test-only-mru"
+
+    def victim(self, pos, pinned=()):
+        for qubit in reversed(self._order):
+            if qubit not in pinned:
+                return qubit
+        return next(reversed(self._order))  # unsatisfiable pin
+
+
+@contextmanager
+def _registered(policy_cls):
+    """Register a test-only policy for the duration of a block."""
+    register_policy(policy_cls)
+    try:
+        yield policy_cls.name
+    finally:
+        del policies._REGISTRY[policy_cls.name]
 
 
 def _code_variants(depth, compute_qubits, cache_factor, parallel_transfers):
@@ -103,12 +132,11 @@ class TestTrafficInvariance:
                                    order=order)
             for stack in stacks
         ]
-        scalar = price_movement_trace_batch(traces[0], stacks,
-                                            engine="scalar")
+        scalar = [price_movement_trace(traces[0], stack) for stack in stacks]
         assert scalar == direct
 
     def test_numpy_engine_exact(self):
-        # One case through the vectorized pricer, above the auto
+        # One case through the vectorized pricer, above the dispatch
         # threshold: replicating the stack list must replicate the rows
         # exactly — the numpy path is arithmetic-identical, not close.
         circuit = build_workload("draper_adder", 24)
@@ -118,24 +146,27 @@ class TestTrafficInvariance:
         ).order
         trace = extract_movement_trace(stacks[0], circuit, "lru",
                                        order=order)
-        batched = price_movement_trace_batch(trace, stacks, engine="numpy")
+        batched = _price_multi_numpy([(trace, stacks)])[0]
         direct = [
             simulate_hierarchy_run(stack, circuit, "lru", order=order)
             for stack in stacks
         ]
         assert batched == direct
+        assert price_movement_trace_batch(trace, stacks) == direct
 
 
 class TestMultiGroupPricing:
     """Whole-grid one-pass pricing vs per-group batched pricing.
 
     ``price_movement_traces_multi`` pads variable-length traces from
-    many traffic groups into one structured batch; every engine must
-    return rows ``==``-identical to ``price_movement_trace_batch`` run
-    per group.  The group set is deliberately ragged — different
-    workloads, sizes, depths, policies, and *unequal config counts* —
-    so the padding tail, and groups whose trailing gates are miss-free
-    (the ``reduceat`` fold's boundary case), are all exercised.
+    many traffic groups into one structured batch; every path — the
+    dispatcher, per-group ``price_movement_trace_batch`` and the numpy
+    pass called directly — must return rows ``==``-identical to the
+    scalar ``price_movement_trace`` run per stack.  The group set is
+    deliberately ragged — different workloads, sizes, depths, policies,
+    and *unequal config counts* — so the padding tail, and groups whose
+    trailing gates are miss-free (the ``reduceat`` fold's boundary
+    case), are all exercised.
     """
 
     # (workload, n_bits, depth, policy, widths); qft-12-d2 has ~11
@@ -175,21 +206,33 @@ class TestMultiGroupPricing:
             for trace, _ in groups
         )
 
+    PATHS = {
+        "auto": price_movement_traces_multi,
+        "grouped": lambda groups: [
+            price_movement_trace_batch(trace, stacks)
+            for trace, stacks in groups
+        ],
+        "numpy": _price_multi_numpy,
+    }
+
+    @staticmethod
+    def _scalar(groups):
+        return [
+            [price_movement_trace(trace, stack) for stack in stacks]
+            for trace, stacks in groups
+        ]
+
     @pytest.mark.parametrize("engine", ["auto", "grouped", "numpy"])
     def test_exact_vs_per_group(self, engine):
         groups = self._build(self.GROUP_SPECS)
-        expected = [
-            price_movement_trace_batch(trace, stacks)
-            for trace, stacks in groups
-        ]
-        assert price_movement_traces_multi(groups, engine=engine) == expected
+        assert self.PATHS[engine](groups) == self._scalar(groups)
 
     @pytest.mark.parametrize("engine", ["auto", "grouped", "numpy"])
     def test_single_group_and_empty(self, engine):
         groups = self._build(self.GROUP_SPECS[:1])
-        expected = [price_movement_trace_batch(*groups[0])]
-        assert price_movement_traces_multi(groups, engine=engine) == expected
-        assert price_movement_traces_multi([], engine=engine) == []
+        assert self.PATHS[engine](groups) == self._scalar(groups)
+        if engine != "numpy":  # the numpy pass needs at least one cell
+            assert self.PATHS[engine]([]) == []
 
 
 class TestFastSplitEquivalence:
@@ -274,3 +317,65 @@ class TestFastSplitEquivalence:
         assert records[0].levelno == logging.DEBUG
         message = records[0].getMessage()
         assert "'test-only-lru'" in message and "'next_k'" in message
+
+
+class TestFlatReplacement:
+    """One flattened replacement kernel, shared by both fast engines."""
+
+    @pytest.mark.parametrize("depth", (2, 3, 4))
+    @pytest.mark.parametrize("workload,n_bits", [("draper_adder", 24),
+                                                 ("modexp_trace", 16)])
+    @pytest.mark.parametrize("policy", SHIPPED_POLICIES)
+    def test_flat_extraction_bytes_equal_generic(self, policy, workload,
+                                                 n_bits, depth):
+        # Byte-equal traces keep every persisted trace-cache blob valid
+        # (TRACE_FORMAT_VERSION stays 1).
+        circuit = build_workload(workload, n_bits)
+        stack = standard_stack("steane", depth, compute_qubits=8)
+        order = simulate_optimized(circuit, stack.levels[0].capacity).order
+        program = _scan_program(circuit, order)
+        flat = _extract_flat(stack, circuit, policy, program)
+        generic = _extract_generic(stack, circuit, policy, program)
+        assert flat.to_bytes() == generic.to_bytes()
+        assert replay.TRACE_FORMAT_VERSION == 1
+
+    def test_one_policy_set_gates_both_engines(self):
+        assert set(SHIPPED_POLICIES) <= replay._FLAT_POLICIES
+        assert fastsplit._FLAT_POLICIES is replay._FLAT_POLICIES
+        for policy in SHIPPED_POLICIES + ("test-only-mru",):
+            for prefetch in SHIPPED_PREFETCHERS:
+                assert supports_fast_split(policy, prefetch) == (
+                    policy in replay._FLAT_POLICIES
+                )
+
+    @pytest.mark.parametrize("depth", (2, 3, 4))
+    def test_generic_counters_from_miss_stream(self, depth):
+        # The PolicyCache path derives its counters from the miss stream
+        # alone; a policy no flattened kernel knows must still agree
+        # with the reference engine on every field.
+        circuit = build_workload("modexp_trace", 16)
+        stack = standard_stack("steane", depth, compute_qubits=8)
+        with _registered(_MruPolicy) as policy:
+            fast = simulate_hierarchy_run(stack, circuit, policy)
+            reference, _ = simulate_hierarchy_run_audited(
+                stack, circuit, policy
+            )
+            replayed = price_movement_trace(
+                extract_movement_trace(stack, circuit, policy), stack
+            )
+        assert fast == reference == replayed
+        lru = simulate_hierarchy_run(stack, circuit, "lru")
+        assert fast.level_stats != lru.level_stats  # a distinct policy
+
+    def test_generic_extraction_is_logged(self, caplog):
+        circuit = build_workload("draper_adder", 12)
+        stack = standard_stack("steane", 3, compute_qubits=8)
+        with _registered(_MruPolicy) as policy:
+            with caplog.at_level(logging.DEBUG, logger="repro.sim.replay"):
+                extract_movement_trace(stack, circuit, policy)
+                for shipped in SHIPPED_POLICIES:
+                    extract_movement_trace(stack, circuit, shipped)
+        records = [r for r in caplog.records if r.name == "repro.sim.replay"]
+        assert len(records) == 1  # shipped policies log nothing
+        assert records[0].levelno == logging.DEBUG
+        assert "'test-only-mru'" in records[0].getMessage()
