@@ -456,6 +456,19 @@ ENGINE_CACHE_FACTOR = 1.0
 
 
 @lru_cache(maxsize=None)
+def _circuit(workload: str, n_bits: int):
+    """The circuit of one (workload, size) pair, built once per process.
+
+    Every engine and fidelity cell of the pair shares this one object —
+    and with it the scan program :mod:`repro.sim.replay` caches on the
+    circuit instance.  The simulators never mutate a circuit.
+    """
+    from ..circuits.workloads import build_workload
+
+    return build_workload(workload, n_bits)
+
+
+@lru_cache(maxsize=None)
 def _fetch_order(
     workload: str, n_bits: int, compute_qubits: int, cache_factor: float
 ) -> tuple:
@@ -466,14 +479,13 @@ def _fetch_order(
     policy, or transfer count — so it is computed once per process and
     reused; sharded workers on other hosts recompute it deterministically.
     """
-    from ..circuits.workloads import build_workload
     from ..sim.cache import simulate_optimized
     from ..sim.levels import l1_capacity
 
     capacity = l1_capacity(compute_qubits, cache_factor)
     # A tuple, not the scheduler's list: the lru_cache shares one object
     # with every cell in the process, so it must be immutable.
-    return tuple(simulate_optimized(build_workload(workload, n_bits), capacity).order)
+    return tuple(simulate_optimized(_circuit(workload, n_bits), capacity).order)
 
 
 def _engine_stack(params: Mapping[str, Any]):
@@ -524,10 +536,9 @@ def _engine_row(params: Mapping[str, Any], run) -> EngineRow:
 
 def engine_cell(params: Mapping[str, Any]) -> EngineRow:
     """One engine cell; module-level so worker processes can pickle it."""
-    from ..circuits.workloads import build_workload
     from ..sim.levels import simulate_hierarchy_run
 
-    circuit = build_workload(params["workload"], params["n_bits"])
+    circuit = _circuit(params["workload"], params["n_bits"])
     stack = _engine_stack(params)
     order = _fetch_order(
         params["workload"], params["n_bits"],
@@ -582,7 +593,6 @@ def _group_trace(group: Sequence[Mapping[str, Any]], trace_cache=None):
     simulation otherwise (persisting the result for every later shard,
     resume, and run).
     """
-    from ..circuits.workloads import build_workload
     from ..sim.replay import extract_movement_trace, trace_key
 
     first = group[0]
@@ -601,7 +611,7 @@ def _group_trace(group: Sequence[Mapping[str, Any]], trace_cache=None):
     stacks = [_engine_stack(params) for params in group]
 
     def extract():
-        circuit = build_workload(first["workload"], first["n_bits"])
+        circuit = _circuit(first["workload"], first["n_bits"])
         order = _fetch_order(
             first["workload"], first["n_bits"],
             first["compute_qubits"], first["cache_factor"],
@@ -854,9 +864,10 @@ def engine_sweep(
     its breakdown) under a distinct memo key and grid kernel
     (``fidelity_cell``).  ``fidelity=None`` leaves the sweep —
     including its memo key and store records — byte-identical to a
-    pre-fidelity build.  Fidelity runs are per-cell simulations;
-    ``batched=True`` is rejected (the batched replayer prices traffic
-    without qubit identity, so it cannot record residency).
+    pre-fidelity build.  Fidelity runs are per-cell simulations (a
+    recorded reservation cell extracts and prices its own movement
+    trace); ``batched=True`` is rejected because no batched fidelity
+    cell kernel is wired yet.
     """
     if trace_cache is not None and not batched:
         raise ValueError("trace_cache requires batched=True")
@@ -869,9 +880,8 @@ def engine_sweep(
     if fidelity:
         if batched:
             raise ValueError(
-                "fidelity sweeps run per-cell (the batched replayer has "
-                "no qubit identity to record residency from); drop "
-                "batched=True"
+                "fidelity sweeps run per-cell (no batched fidelity cell "
+                "kernel is wired yet); drop batched=True"
             )
         trials, seed = _fidelity_budget(fidelity)
         key = stable_key(
@@ -971,10 +981,9 @@ def fidelity_cell(params: Mapping[str, Any]) -> FidelityRow:
     resulting row is bit-identical to the ``engine_cell`` row of the
     same engine parameters.
     """
-    from ..circuits.workloads import build_workload
     from ..sim.residency import simulate_fidelity_run
 
-    circuit = build_workload(params["workload"], params["n_bits"])
+    circuit = _circuit(params["workload"], params["n_bits"])
     stack = _engine_stack(params)
     order = _fetch_order(
         params["workload"], params["n_bits"],

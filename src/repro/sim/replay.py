@@ -11,12 +11,16 @@ module exploits it:
 * :func:`extract_movement_trace` runs the cache machinery **once** per
   (workload, depth, policy) group and records a code-agnostic
   :class:`MovementTrace` — per-gate miss records ``(source level,
-  evicted?, cascade length)`` plus every traffic counter;
+  evicted?, cascade length)``, the qubit each movement carries, and
+  every traffic counter;
 * :func:`price_movement_trace` replays that trace against one concrete
   :class:`~repro.sim.levels.HierarchyStack`, reproducing the greedy
   port-reservation arithmetic float-for-float, so its
   :class:`~repro.sim.levels.HierarchyEngineResult` is bit-identical to
-  a fresh :func:`~repro.sim.levels.simulate_hierarchy_run`;
+  a fresh :func:`~repro.sim.levels.simulate_hierarchy_run`; given a
+  :class:`~repro.sim.residency.ResidencyRecorder` it also logs every
+  priced hop under its qubit, exactly as the audited reservation engine
+  does, which is how recorded (fidelity) reservation runs are priced;
 * :func:`price_movement_traces_multi` prices **many traces** — one per
   traffic group, each against its own stacks — in a single pass: from
   :data:`MULTI_NUMPY_THRESHOLD` cells up the variable-length miss and
@@ -101,7 +105,7 @@ MULTI_NUMPY_THRESHOLD = 24
 #: Folded into every :func:`trace_key`, so a layout change invalidates
 #: persisted traces (a cache miss and re-extraction) instead of ever
 #: decoding them under the wrong schema.
-TRACE_FORMAT_VERSION = 1
+TRACE_FORMAT_VERSION = 2
 
 
 # ----------------------------------------------------------------------
@@ -211,9 +215,16 @@ class MovementTrace:
     evicted a resident (``miss_evict``), and how many cascade
     write-backs rippled down the stack (``miss_clen``) — grouped per
     scheduled gate by ``gate_nmiss``.  Together with the per-gate EC
-    durations this is *everything* the time model consumes: the
-    re-pricer never needs qubit identities, and every cache counter is
-    already final (replacement never observes time).
+    durations this is everything the time model consumes, and every
+    cache counter is already final (replacement never observes time).
+
+    The identity fields name *which* qubit each movement carries, so a
+    :class:`~repro.sim.residency.ResidencyRecorder` can ride the
+    re-pricer: ``miss_qubit`` has one entry per miss (the operand
+    fetched), ``evict_qubit`` one per miss with ``miss_evict == 1`` (the
+    compute-level victim written back), and ``cascade_qubit`` one per
+    cascade write-back, in scan order (``sum(miss_clen)`` entries).
+    Time-only pricing never reads them.
     """
 
     workload: str
@@ -225,6 +236,9 @@ class MovementTrace:
     miss_src: Tuple[int, ...]
     miss_evict: Tuple[int, ...]
     miss_clen: Tuple[int, ...]
+    miss_qubit: Tuple[int, ...]
+    evict_qubit: Tuple[int, ...]
+    cascade_qubit: Tuple[int, ...]
     fetches: Tuple[int, ...]
     writebacks: Tuple[int, ...]
     bottom_hits: int
@@ -252,6 +266,9 @@ class MovementTrace:
             "miss_src": list(self.miss_src),
             "miss_evict": list(self.miss_evict),
             "miss_clen": list(self.miss_clen),
+            "miss_qubit": list(self.miss_qubit),
+            "evict_qubit": list(self.evict_qubit),
+            "cascade_qubit": list(self.cascade_qubit),
             "fetches": list(self.fetches),
             "writebacks": list(self.writebacks),
             "bottom_hits": self.bottom_hits,
@@ -285,7 +302,8 @@ class MovementTrace:
             raise ValueError("not a serialized MovementTrace: not an object")
         tuple_fields = (
             "capacities", "gate_ec", "gate_nmiss", "miss_src", "miss_evict",
-            "miss_clen", "fetches", "writebacks", "level_accesses",
+            "miss_clen", "miss_qubit", "evict_qubit", "cascade_qubit",
+            "fetches", "writebacks", "level_accesses",
             "level_hits", "level_misses", "level_evictions",
             "final_occupancy",
         )
@@ -679,10 +697,16 @@ def _extract_flat(
     miss_src: List[int] = []
     miss_evict: List[int] = []
     miss_clen: List[int] = []
+    miss_qubit: List[int] = []
+    evict_qubit: List[int] = []
+    cascade_qubit: List[int] = []
     append_nmiss = gate_nmiss.append
     append_src = miss_src.append
     append_evict = miss_evict.append
     append_clen = miss_clen.append
+    append_qubit = miss_qubit.append
+    append_evicted = evict_qubit.append
+    append_cascade = cascade_qubit.append
     d0 = orders[0]
     cap0 = caps[0]
     h0 = bheaps[0]
@@ -730,6 +754,7 @@ def _extract_flat(
                 location[q] = 0
                 clen = 0
                 if evicted is not None:
+                    append_evicted(evicted)
                     location[evicted] = 1
                     victim = evicted
                     lvl = 1
@@ -753,6 +778,7 @@ def _extract_flat(
                             bseq += 1
                         if bumped is None:
                             break
+                        append_cascade(bumped)
                         location[bumped] = lvl + 1
                         victim = bumped
                         lvl += 1
@@ -760,6 +786,7 @@ def _extract_flat(
                 append_src(src)
                 append_evict(1 if evicted is not None else 0)
                 append_clen(clen)
+                append_qubit(q)
                 nmiss += 1
             if track_next:
                 nu_now[q] = next_pos[pos]
@@ -777,6 +804,9 @@ def _extract_flat(
         miss_src,
         miss_evict,
         miss_clen,
+        miss_qubit,
+        evict_qubit,
+        cascade_qubit,
     )
 
 
@@ -790,6 +820,9 @@ def _trace_from_misses(
     miss_src: List[int],
     miss_evict: List[int],
     miss_clen: List[int],
+    miss_qubit: List[int],
+    evict_qubit: List[int],
+    cascade_qubit: List[int],
 ) -> MovementTrace:
     """Derive every traffic counter from the per-miss records.
 
@@ -851,6 +884,9 @@ def _trace_from_misses(
         miss_src=tuple(miss_src),
         miss_evict=tuple(miss_evict),
         miss_clen=tuple(miss_clen),
+        miss_qubit=tuple(miss_qubit),
+        evict_qubit=tuple(evict_qubit),
+        cascade_qubit=tuple(cascade_qubit),
         fetches=tuple(fetches),
         writebacks=tuple(writebacks),
         bottom_hits=src_count[bottom],
@@ -886,6 +922,9 @@ def _extract_generic(
     miss_src: List[int] = []
     miss_evict: List[int] = []
     miss_clen: List[int] = []
+    miss_qubit: List[int] = []
+    evict_qubit: List[int] = []
+    cascade_qubit: List[int] = []
     pos = 0
     for qubits in program.gate_qubits:
         nmiss = 0
@@ -904,6 +943,7 @@ def _extract_generic(
             issued.add(q)
             clen = 0
             if evicted is not None:
+                evict_qubit.append(evicted)
                 location[evicted] = 1
                 victim = evicted
                 lvl = 1
@@ -911,6 +951,7 @@ def _extract_generic(
                     bumped = caches[lvl].insert(victim, pos)
                     if bumped is None:
                         break
+                    cascade_qubit.append(bumped)
                     location[bumped] = lvl + 1
                     victim = bumped
                     lvl += 1
@@ -918,6 +959,7 @@ def _extract_generic(
             miss_src.append(src)
             miss_evict.append(1 if evicted is not None else 0)
             miss_clen.append(clen)
+            miss_qubit.append(q)
             nmiss += 1
             pos += 1
         gate_nmiss.append(nmiss)
@@ -932,6 +974,9 @@ def _extract_generic(
         miss_src,
         miss_evict,
         miss_clen,
+        miss_qubit,
+        evict_qubit,
+        cascade_qubit,
     )
 
 
@@ -954,7 +999,7 @@ def _check_geometry(trace: MovementTrace, stack: HierarchyStack) -> None:
 
 
 def price_movement_trace(
-    trace: MovementTrace, stack: HierarchyStack
+    trace: MovementTrace, stack: HierarchyStack, recorder=None
 ) -> HierarchyEngineResult:
     """Replay ``trace`` against one stack's codes and port widths.
 
@@ -965,6 +1010,13 @@ def price_movement_trace(
     ``start + duration + hold``.  Every output float is bit-identical
     to :func:`~repro.sim.levels.simulate_hierarchy_run` on the same
     cell.
+
+    ``recorder`` (a :class:`~repro.sim.residency.ResidencyRecorder`)
+    receives exactly the ``begin`` / ``transfer`` / ``finish`` calls the
+    audited reservation engine makes, in the same order — every touched
+    qubit starts at the backing store, and the trace's identity fields
+    name the qubit each priced hop carries.  Recording only observes
+    the arithmetic; the returned floats are unchanged.
     """
     _check_geometry(trace, stack)
     networks = stack.networks()
@@ -976,7 +1028,16 @@ def price_movement_trace(
     d0 = demote[0]
     p0 = promote[0]
     h0 = heaps[0]
-    misses = zip(trace.miss_src, trace.miss_evict, trace.miss_clen)
+    rec = None
+    if recorder is not None:
+        # Every qubit starts at the backing store, so each touched qubit
+        # misses at its first access: the miss stream names them all.
+        bottom = trace.depth - 1
+        recorder.begin({q: bottom for q in sorted(set(trace.miss_qubit))})
+        rec = recorder.transfer
+        next_evicted = iter(trace.evict_qubit).__next__
+        next_cascaded = iter(trace.cascade_qubit).__next__
+    misses = zip(trace.miss_src, trace.miss_evict, trace.miss_clen, trace.miss_qubit)
     next_miss = misses.__next__
     compute_free = 0.0
     transfer_wait = 0.0
@@ -991,15 +1052,18 @@ def price_movement_trace(
             continue
         arrivals = 0.0
         for _ in range(nmiss):
-            src, ev, clen = next_miss()
+            src, ev, clen, q = next_miss()
             prev = 0.0
             if src > 1:
                 # Depth 3 dominates real grids: unroll its single hop.
                 if src == 2:
                     h = heaps[1]
                     free = h[0]
-                    prev = (free if free > 0.0 else 0.0) + demote[1]
+                    start = free if free > 0.0 else 0.0
+                    prev = start + demote[1]
                     heapreplace(h, prev)
+                    if rec is not None:
+                        rec(q, 2, 1, start, prev, 1)
                 else:
                     for k in range(src - 1, 0, -1):
                         h = heaps[k]
@@ -1007,20 +1071,29 @@ def price_movement_trace(
                         start = free if free > prev else prev
                         prev = start + demote[k]
                         heapreplace(h, prev)
+                        if rec is not None:
+                            rec(q, k + 1, k, start, prev, k)
             free = h0[0]
             start = free if free > prev else prev
             arrival = start + d0
+            if rec is not None:
+                rec(q, 1, 0, start, arrival, 0)
             if ev:
                 # The paired write-back holds the arrival port
                 # (busy = start + demote + promote = arrival + promote,
                 # matching the reference's left-associated sum).
                 available = arrival + p0
                 heapreplace(h0, available)
+                if rec is not None:
+                    rec(next_evicted(), 0, 1, arrival, available, 0)
                 if clen == 1:
                     h = heaps[1]
                     free = h[0]
                     start2 = free if free > available else available
-                    heapreplace(h, start2 + promote[1])
+                    end = start2 + promote[1]
+                    heapreplace(h, end)
+                    if rec is not None:
+                        rec(next_cascaded(), 1, 2, start2, end, 1)
                 elif clen:
                     for lvl in range(1, clen + 1):
                         h = heaps[lvl]
@@ -1028,6 +1101,8 @@ def price_movement_trace(
                         start2 = free if free > available else available
                         available = start2 + promote[lvl]
                         heapreplace(h, available)
+                        if rec is not None:
+                            rec(next_cascaded(), lvl, lvl + 1, start2, available, lvl)
             else:
                 heapreplace(h0, arrival)
             if arrival > arrivals:
@@ -1037,6 +1112,8 @@ def price_movement_trace(
             transfer_wait += arrivals - compute_free
         compute_free = start + duration
 
+    if recorder is not None:
+        recorder.finish(compute_free)
     return _result_from_trace(trace, stack, compute_free, compute_time, transfer_wait)
 
 

@@ -29,7 +29,12 @@ Interval semantics per dialect
   qubit was parked at, the transit span shrinks (possibly to zero), and
   ``clamped`` counts the events.  The partition invariant holds exactly
   in every dialect; clamping only ever *under*-charges a little transit
-  time in the reservation dialect's scan-time approximation.
+  time in the reservation dialect's scan-time approximation.  Recorded
+  reservation runs are priced by the replay pricer
+  (:func:`repro.sim.replay.price_movement_trace`) from the qubit
+  identities a format-2 movement trace carries; it makes the same
+  recorder calls as the audited event-kernel engine, so records,
+  intervals and ``clamped`` counts are bit-identical between the two.
 
 Noise derivation
 ----------------
@@ -50,7 +55,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from ..ecc.concatenated import by_key
 from ..ecc.montecarlo import logical_error_rate
@@ -70,13 +75,14 @@ FIDELITY_SEED = 2006
 LEVEL, TRANSIT = "level", "transit"
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(NamedTuple):
     """One span of a qubit's residency timeline.
 
     ``kind == "level"`` parks the qubit at hierarchy level ``place``;
     ``kind == "transit"`` has it in flight on boundary network
-    ``place`` (which joins levels ``place`` and ``place + 1``).
+    ``place`` (which joins levels ``place`` and ``place + 1``).  A
+    named tuple rather than a frozen dataclass: a fidelity grid builds
+    ~10^5 of them, and construction dominates the recorder's ``finish``.
     """
 
     start: float

@@ -19,9 +19,10 @@ is held bit-identical to the retained reference across a policy ×
 prefetcher × stack matrix.
 """
 
+import json
 import logging
 import random
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import pytest
 
@@ -328,8 +329,8 @@ class TestFlatReplacement:
     @pytest.mark.parametrize("policy", SHIPPED_POLICIES)
     def test_flat_extraction_bytes_equal_generic(self, policy, workload,
                                                  n_bits, depth):
-        # Byte-equal traces keep every persisted trace-cache blob valid
-        # (TRACE_FORMAT_VERSION stays 1).
+        # Byte-equal traces, qubit identities included: either loop
+        # writes the same format-2 blob (TRACE_FORMAT_VERSION is 2).
         circuit = build_workload(workload, n_bits)
         stack = standard_stack("steane", depth, compute_qubits=8)
         order = simulate_optimized(circuit, stack.levels[0].capacity).order
@@ -337,7 +338,7 @@ class TestFlatReplacement:
         flat = _extract_flat(stack, circuit, policy, program)
         generic = _extract_generic(stack, circuit, policy, program)
         assert flat.to_bytes() == generic.to_bytes()
-        assert replay.TRACE_FORMAT_VERSION == 1
+        assert replay.TRACE_FORMAT_VERSION == 2
 
     def test_one_policy_set_gates_both_engines(self):
         assert set(SHIPPED_POLICIES) <= replay._FLAT_POLICIES
@@ -379,3 +380,67 @@ class TestFlatReplacement:
         assert len(records) == 1  # shipped policies log nothing
         assert records[0].levelno == logging.DEBUG
         assert "'test-only-mru'" in records[0].getMessage()
+
+
+class TestTraceFormatV2:
+    """The qubit-identity fields of format 2 traces."""
+
+    @staticmethod
+    def _trace(policy, depth):
+        # A tight stack: depth-3 cascades and depth-4 multi-level ones.
+        circuit = build_workload("modexp_trace", 16)
+        stack = standard_stack("steane", depth, compute_qubits=4,
+                               cache_factor=1.0)
+        return extract_movement_trace(stack, circuit, policy), circuit
+
+    @pytest.mark.parametrize("depth", (2, 3, 4))
+    @pytest.mark.parametrize("policy", SHIPPED_POLICIES + ("test-only-mru",))
+    def test_identity_fields_follow_the_miss_stream(self, policy, depth):
+        test_only = policy == "test-only-mru"
+        with _registered(_MruPolicy) if test_only else nullcontext():
+            trace, circuit = self._trace(policy, depth)
+        assert len(trace.miss_qubit) == trace.n_misses
+        assert len(trace.evict_qubit) == sum(trace.miss_evict)
+        assert len(trace.cascade_qubit) == sum(trace.miss_clen)
+        # Replaying the identities from "everything at the backing
+        # store" reproduces every recorded source level and the final
+        # occupancy: each identity names the qubit its movement carries.
+        bottom = depth - 1
+        location = {q: bottom for q in circuit.touched_qubits()}
+        evicted = iter(trace.evict_qubit)
+        cascaded = iter(trace.cascade_qubit)
+        for q, src, ev, clen in zip(trace.miss_qubit, trace.miss_src,
+                                    trace.miss_evict, trace.miss_clen):
+            assert location[q] == src
+            location[q] = 0
+            if ev:
+                victim = next(evicted)
+                assert location[victim] == 0 and victim != q
+                location[victim] = 1
+                for lvl in range(1, clen + 1):
+                    bumped = next(cascaded)
+                    assert location[bumped] == lvl
+                    location[bumped] = lvl + 1
+        occupancy = [0] * depth
+        for level in location.values():
+            occupancy[level] += 1
+        assert tuple(occupancy) == trace.final_occupancy
+        if depth > 2:
+            assert trace.cascade_qubit  # the cascade path is exercised
+
+    def test_round_trip_keeps_identity_fields(self):
+        trace, _ = self._trace("lru", 4)
+        assert trace.evict_qubit and trace.cascade_qubit
+        restored = replay.MovementTrace.from_bytes(trace.to_bytes())
+        assert restored == trace  # every field, identities included
+
+    def test_v1_layout_blob_is_rejected(self):
+        trace, _ = self._trace("lru", 3)
+        payload = json.loads(trace.to_bytes().decode("ascii"))
+        for name in ("miss_qubit", "evict_qubit", "cascade_qubit"):
+            del payload[name]
+        v1_blob = json.dumps(
+            payload, sort_keys=True, separators=(",", ":")
+        ).encode("ascii")
+        with pytest.raises(ValueError, match="miss_qubit"):
+            replay.MovementTrace.from_bytes(v1_blob)

@@ -10,9 +10,12 @@ Pins the coupling between the engine dialects and the ECC Monte Carlo:
   ``residency_*`` counters.
 * **Equivalence pins** — a recorder never changes engine arithmetic
   (recorded runs are bit-identical to recorder-less runs in every
-  dialect); the split-transaction reference and the flattened fastsplit
-  engine record bit-identical interval lists; every dialect agrees on
-  each qubit's untimed hop sequence for ``prefetch="none"``; and with
+  dialect); the production engines record bit-identical transfer logs
+  and interval lists to the audited references in both time models
+  (fastsplit vs the split-transaction reference, extract + replay
+  pricing vs the event-kernel reservation engine); every dialect
+  agrees on each qubit's untimed hop sequence for ``prefetch="none"``;
+  and with
   fidelity off, engine cells, memo keys and store records are pinned
   byte-identical to the pre-fidelity layout.
 * **Seed determinism** — fidelity accrual is reproducible across the
@@ -22,6 +25,7 @@ Pins the coupling between the engine dialects and the ECC Monte Carlo:
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, fields
 
 import pytest
@@ -32,6 +36,7 @@ from repro.core.design_space import (
     ENGINE_FIDELITY_TRIALS,
     EngineRow,
     FidelityRow,
+    engine_batch_cell,
     engine_cell,
     engine_sweep,
     fidelity_cell,
@@ -49,7 +54,8 @@ from repro.sim.levels import (
     simulate_hierarchy_run_audited,
     three_level_stack,
 )
-from repro.sim.policies import available_policies
+from repro.sim import policies
+from repro.sim.policies import LruPolicy, available_policies, register_policy
 from repro.sim.residency import (
     LEVEL,
     P_CAL,
@@ -76,6 +82,10 @@ CACHE_FACTOR = 1.0
 #: records, or memoized sweeps.
 PINNED_CELL_KEY = "d3355bf582b62096c3127457047b96867454ee06"
 PINNED_SWEEP_KEY = "320ac717401318287d72bf3802591240824c1fa1"
+
+#: The shipped policies, read at import time (before any test can
+#: register an extension of its own).
+SHIPPED_POLICIES = available_policies()
 
 #: Small Monte Carlo budget for tests that only need determinism, not
 #: the calibration default.
@@ -265,34 +275,76 @@ class TestRecorderUnit:
             accrue_residency(recorder, _stack())
 
 
+class _MruPolicy(LruPolicy):
+    """A test-only extension: evict the *most* recently used resident."""
+
+    name = "test-only-mru"
+
+    def victim(self, pos, pinned=()):
+        for qubit in reversed(self._order):
+            if qubit not in pinned:
+                return qubit
+        return next(reversed(self._order))  # unsatisfiable pin
+
+
+@contextmanager
+def _maybe_registered(policy):
+    """Register the test-only policy for a block when ``policy`` names it."""
+    if policy != _MruPolicy.name:
+        yield
+        return
+    register_policy(_MruPolicy)
+    try:
+        yield
+    finally:
+        del policies._REGISTRY[_MruPolicy.name]
+
+
 class TestDialectEquivalence:
     """Satellite 2: recorded intervals agree across the dialects."""
 
     @pytest.mark.parametrize("workload", WORKLOADS)
-    @pytest.mark.parametrize(
-        "policy", [p for p in available_policies() if supports_fast_split(p, "next_k")]
-    )
-    @pytest.mark.parametrize("prefetch", ("none", "next_k"))
+    @pytest.mark.parametrize("policy", SHIPPED_POLICIES + (_MruPolicy.name,))
+    @pytest.mark.parametrize("prefetch,pipeline", [
+        pytest.param("none", True, id="none"),
+        pytest.param("next_k", True, id="next_k"),
+        pytest.param("none", False, id="none-reservation"),
+    ])
     def test_fastsplit_intervals_bit_identical_to_reference(
-        self, workload, policy, prefetch
+        self, workload, policy, prefetch, pipeline
     ):
+        # The production engines (fastsplit, or extract + replay pricing
+        # for the reservation model) record exactly what the audited
+        # reference engines record.  A policy without a flattened
+        # kernel takes the generic extraction (and the split reference).
         circuit, order = _order(workload)
-        fast_rec = ResidencyRecorder()
-        fast = simulate_hierarchy_run(
-            _stack(), circuit, policy, order=order, prefetch=prefetch,
-            pipeline=True, recorder=fast_rec,
-        )
-        ref_rec = ResidencyRecorder()
-        ref, _ = simulate_hierarchy_run_audited(
-            _stack(), circuit, policy, order=order, prefetch=prefetch,
-            pipeline=True, recorder=ref_rec,
-        )
+        with _maybe_registered(policy):
+            fast_rec = ResidencyRecorder()
+            fast = simulate_hierarchy_run(
+                _stack(), circuit, policy, order=order, prefetch=prefetch,
+                pipeline=pipeline, recorder=fast_rec,
+            )
+            ref_rec = ResidencyRecorder()
+            ref, _ = simulate_hierarchy_run_audited(
+                _stack(), circuit, policy, order=order, prefetch=prefetch,
+                pipeline=pipeline, recorder=ref_rec,
+            )
         assert fast == ref
         fast_rec.finish(fast.total_time_s)
         ref_rec.finish(ref.total_time_s)
         # Same floats, same interval objects — not just "close".
+        assert fast_rec.records == ref_rec.records
         assert fast_rec.intervals == ref_rec.intervals
         assert fast_rec.final_level == ref_rec.final_level
+        assert fast_rec.clamped == ref_rec.clamped
+        assert fast_rec.mismatches == ref_rec.mismatches
+        assert accrue_residency(fast_rec, _stack()) == accrue_residency(
+            ref_rec, _stack()
+        )
+        if not pipeline and workload != "qft":
+            # Scan-time inversions (qft's few hops have none): the
+            # reservation dialect's clamp path is exercised and matched.
+            assert fast_rec.clamped > 0
 
     @pytest.mark.parametrize("workload", WORKLOADS)
     @pytest.mark.parametrize("policy", available_policies())
@@ -491,6 +543,50 @@ class TestFidelityOffPins:
     def test_batched_fidelity_rejected(self):
         with pytest.raises(ValueError, match="per-cell"):
             engine_sweep(fidelity=True, batched=True)
+
+
+class TestCircuitMemo:
+    """Every cell of one (workload, size) pair shares one circuit build."""
+
+    def test_cells_share_one_build_and_match_fresh_rows(self, monkeypatch):
+        from repro.circuits import workloads
+        from repro.core import design_space
+
+        builds = []
+        real_build = workloads.build_workload
+
+        def counting_build(*args, **kwargs):
+            builds.append(args)
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(workloads, "build_workload", counting_build)
+        base = {
+            "workload": "qft", "n_bits": N_BITS, "code_key": "steane",
+            "parallel_transfers": 10, "compute_qubits": COMPUTE_QUBITS,
+            "cache_factor": CACHE_FACTOR, "prefetch": "none",
+        }
+        cells = [
+            (engine_cell, dict(base, depth=2, policy="lru")),
+            (fidelity_cell, dict(base, depth=3, policy="fidelity",
+                                 fidelity_trials=TRIALS, fidelity_seed=SEED)),
+            (lambda params: engine_batch_cell([params])[0],
+             dict(base, depth=2, policy="belady")),
+        ]
+
+        def forget():
+            design_space._circuit.cache_clear()
+            design_space._fetch_order.cache_clear()
+
+        fresh = []
+        for kernel, params in cells:
+            forget()
+            fresh.append(kernel(params))
+        assert len(builds) == len(cells)  # one fresh build per cell
+        forget()
+        builds.clear()
+        shared = [kernel(params) for kernel, params in cells]
+        assert builds == [("qft", N_BITS)]
+        assert shared == fresh
 
 
 class TestSeedDeterminism:
