@@ -327,7 +327,8 @@ def _bench_trace_cache_warm_speedup(alternations: int = 2):
     group is scheduled and simulated, then persisted), the warm arm at
     a populated one (every group loads as a verified blob — zero
     traffic simulation, pure pricing).  One large traffic group keeps
-    the cold-only costs (fetch scheduling + traffic simulation)
+    the cold-only costs (workload construction, fetch scheduling and
+    traffic simulation)
     dominant over the pricing both arms share, which is exactly the
     regime the cache exists for.  The rows are pinned bit-identical
     elsewhere; this kernel times the payoff and gates the acceptance
@@ -337,6 +338,7 @@ def _bench_trace_cache_warm_speedup(alternations: int = 2):
 
     from repro.core.design_space import (
         EngineRow,
+        _circuit,
         _fetch_order,
         engine_batch_spec,
         engine_cell,
@@ -358,9 +360,11 @@ def _bench_trace_cache_warm_speedup(alternations: int = 2):
             for _ in range(alternations):
                 cold_dir = tempfile.mkdtemp(prefix="bench-trace-cold-")
                 try:
-                    # A fresh sweep pays for scheduling too, so the
-                    # cold arm must not inherit the fetch-order cache
-                    # the warm-up pass just filled.
+                    # A fresh sweep pays for workload construction and
+                    # scheduling too, so the cold arm must not inherit
+                    # the circuit (and the scan program cached on it)
+                    # or the fetch order the warm-up pass just built.
+                    _circuit.cache_clear()
                     _fetch_order.cache_clear()
                     t0 = time.perf_counter()
                     compute_grid(grid, engine_cell, EngineRow,
@@ -729,7 +733,7 @@ OVERHEAD_SLACK = 0.05
 
 #: Absolute floors for ``*_speedup`` ratio kernels (PR acceptance
 #: criteria, not baseline-relative drift limits): the replay engine
-#: must stay >= 5x the retained reference on the policy cell, the
+#: must stay >= 5x the audited reservation oracle on the policy cell, the
 #: batched sweep >= 2x the per-cell path on a four-config traffic
 #: group, a warm trace cache >= 5x a cold batched sweep, and
 #: whole-grid multi-trace pricing >= 1.5x per-group batched pricing.

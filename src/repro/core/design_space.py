@@ -137,26 +137,49 @@ def specialization_sweep(
     under the fault-tolerant pool, quarantining terminally failing
     cells as ``None`` rows (never memoized as a complete sweep).
     """
-    memo = resolve_cache(cache)
     key = stable_key(
         "specialization_sweep", sizes=list(sizes), code_keys=list(code_keys)
     )
-    grid = specialization_grid(sizes, code_keys)
+    return _memoized_sweep(
+        key, specialization_grid(sizes, code_keys), specialization_cell,
+        SpecializationRow, cache=cache, store=store, workers=workers,
+        supervise=supervise,
+    )
+
+
+def _memoized_sweep(
+    key: str,
+    grid: Grid,
+    cell_fn,
+    row_type,
+    *,
+    cache,
+    store,
+    workers: Optional[int],
+    supervise,
+    batch=None,
+) -> List[Any]:
+    """Every sweep's whole-sweep memo around :func:`compute_grid`.
+
+    A memo hit under ``key`` bypasses the store, so its rows are
+    written through (a ``store=`` caller still ends up with a mergeable
+    record set); a malformed persisted entry is recomputed.  Only a
+    complete sweep — no quarantined ``None`` rows — is memoized.
+    """
+    memo = resolve_cache(cache)
     if memo is not None:
         hit = memo.get(key)
         if hit is not None:
             try:
-                rows = [SpecializationRow(**row) for row in hit]
+                rows = [row_type(**row) for row in hit]
             except TypeError:
                 pass  # malformed persisted entry: fall through, recompute
             else:
-                # A memo hit bypasses the store: write through so a
-                # store= caller still ends up with a mergeable record set.
                 persist_rows(grid, rows, store)
                 return rows
     rows = compute_grid(
-        grid, specialization_cell, SpecializationRow,
-        store=store, workers=workers, supervise=supervise,
+        grid, cell_fn, row_type,
+        store=store, workers=workers, supervise=supervise, batch=batch,
     )
     if memo is not None and all(row is not None for row in rows):
         memo.put(key, [asdict(row) for row in rows])
@@ -236,29 +259,15 @@ def hierarchy_sweep(
     ``supervise`` runs under the fault-tolerant pool (see
     :func:`specialization_sweep`).
     """
-    memo = resolve_cache(cache)
     key = stable_key(
         "hierarchy_sweep", sizes=list(sizes), code_keys=list(code_keys),
         transfer_options=list(transfer_options),
     )
-    grid = hierarchy_grid(sizes, code_keys, transfer_options)
-    if memo is not None:
-        hit = memo.get(key)
-        if hit is not None:
-            try:
-                rows = [HierarchyRow(**row) for row in hit]
-            except TypeError:
-                pass  # malformed persisted entry: fall through, recompute
-            else:
-                persist_rows(grid, rows, store)
-                return rows
-    rows = compute_grid(
-        grid, hierarchy_cell, HierarchyRow,
-        store=store, workers=workers, supervise=supervise,
+    return _memoized_sweep(
+        key, hierarchy_grid(sizes, code_keys, transfer_options),
+        hierarchy_cell, HierarchyRow, cache=cache, store=store,
+        workers=workers, supervise=supervise,
     )
-    if memo is not None and all(row is not None for row in rows):
-        memo.put(key, [asdict(row) for row in rows])
-    return rows
 
 
 # ----------------------------------------------------------------------
@@ -357,28 +366,13 @@ def transfer_sweep(
     (``python -m repro.sweep run --kernel transfer_cell``) and
     :func:`repro.analysis.tables.table3_from_store` renders from it.
     """
-    memo = resolve_cache(cache)
     key = stable_key(
         "transfer_sweep", code_keys=list(code_keys), levels=list(levels)
     )
-    grid = transfer_grid(code_keys, levels)
-    if memo is not None:
-        hit = memo.get(key)
-        if hit is not None:
-            try:
-                rows = [TransferRow(**row) for row in hit]
-            except TypeError:
-                pass  # malformed persisted entry: fall through, recompute
-            else:
-                persist_rows(grid, rows, store)
-                return rows
-    rows = compute_grid(
-        grid, transfer_cell, TransferRow,
-        store=store, workers=workers, supervise=supervise,
+    return _memoized_sweep(
+        key, transfer_grid(code_keys, levels), transfer_cell, TransferRow,
+        cache=cache, store=store, workers=workers, supervise=supervise,
     )
-    if memo is not None and all(row is not None for row in rows):
-        memo.put(key, [asdict(row) for row in rows])
-    return rows
 
 
 # ----------------------------------------------------------------------
@@ -858,8 +852,9 @@ def engine_sweep(
 
     ``fidelity`` adds the noise-aware axis: pass ``True`` (the default
     :data:`ENGINE_FIDELITY_TRIALS`/:data:`ENGINE_FIDELITY_SEED` Monte
-    Carlo budget) or a ``{"trials": ..., "seed": ...}`` mapping, and
-    every cell runs with a residency recorder attached, returning
+    Carlo budget) or any ``{"trials": ..., "seed": ...}`` mapping
+    (either key optional, any other key a ``ValueError``), and every
+    cell runs with a residency recorder attached, returning
     :class:`FidelityRow` rows (``EngineRow`` plus ``logical_error`` and
     its breakdown) under a distinct memo key and grid kernel
     (``fidelity_cell``).  ``fidelity=None`` leaves the sweep —
@@ -876,61 +871,43 @@ def engine_sweep(
 
         policies = available_policies()
     code_pairs = _normalize_code_pairs(code_pairs)
-    memo = resolve_cache(cache)
-    if fidelity:
+    budget = _fidelity_budget(fidelity)
+    axes = (
+        workloads, sizes, code_keys, depths, policies, prefetches,
+        transfer_options, compute_qubits, cache_factor, code_pairs,
+    )
+    key_params = dict(
+        workloads=list(workloads), sizes=list(sizes),
+        code_keys=list(code_keys), depths=list(depths),
+        policies=list(policies), prefetches=list(prefetches),
+        transfer_options=list(transfer_options),
+        compute_qubits=compute_qubits, cache_factor=cache_factor,
+        code_pairs=[list(pair) for pair in code_pairs],
+    )
+    if budget is None:
+        key = stable_key("engine_sweep", **key_params)
+        grid = engine_grid(*axes)
+        cell_fn, row_type = engine_cell, EngineRow
+    else:
         if batched:
             raise ValueError(
                 "fidelity sweeps run per-cell (no batched fidelity cell "
                 "kernel is wired yet); drop batched=True"
             )
-        trials, seed = _fidelity_budget(fidelity)
+        trials, seed = budget
         key = stable_key(
-            "engine_sweep", workloads=list(workloads), sizes=list(sizes),
-            code_keys=list(code_keys), depths=list(depths),
-            policies=list(policies), prefetches=list(prefetches),
-            transfer_options=list(transfer_options),
-            compute_qubits=compute_qubits, cache_factor=cache_factor,
-            code_pairs=[list(pair) for pair in code_pairs],
+            "engine_sweep", **key_params,
             fidelity_trials=trials, fidelity_seed=seed,
         )
         grid = fidelity_grid(
-            workloads, sizes, code_keys, depths, policies, prefetches,
-            transfer_options, compute_qubits, cache_factor, code_pairs,
-            fidelity_trials=trials, fidelity_seed=seed,
+            *axes, fidelity_trials=trials, fidelity_seed=seed
         )
         cell_fn, row_type = fidelity_cell, FidelityRow
-    else:
-        key = stable_key(
-            "engine_sweep", workloads=list(workloads), sizes=list(sizes),
-            code_keys=list(code_keys), depths=list(depths),
-            policies=list(policies), prefetches=list(prefetches),
-            transfer_options=list(transfer_options),
-            compute_qubits=compute_qubits, cache_factor=cache_factor,
-            code_pairs=[list(pair) for pair in code_pairs],
-        )
-        grid = engine_grid(
-            workloads, sizes, code_keys, depths, policies, prefetches,
-            transfer_options, compute_qubits, cache_factor, code_pairs,
-        )
-        cell_fn, row_type = engine_cell, EngineRow
-    if memo is not None:
-        hit = memo.get(key)
-        if hit is not None:
-            try:
-                rows = [row_type(**row) for row in hit]
-            except TypeError:
-                pass  # malformed persisted entry: fall through, recompute
-            else:
-                persist_rows(grid, rows, store)
-                return rows
-    rows = compute_grid(
-        grid, cell_fn, row_type,
-        store=store, workers=workers, supervise=supervise,
+    return _memoized_sweep(
+        key, grid, cell_fn, row_type, cache=cache, store=store,
+        workers=workers, supervise=supervise,
         batch=engine_batch_spec(trace_cache) if batched else None,
     )
-    if memo is not None and all(row is not None for row in rows):
-        memo.put(key, [asdict(row) for row in rows])
-    return rows
 
 
 # ----------------------------------------------------------------------
@@ -963,10 +940,23 @@ class FidelityRow(EngineRow):
         object.__setattr__(self, "level_errors", tuple(self.level_errors))
 
 
-def _fidelity_budget(fidelity) -> Tuple[int, int]:
-    """The (trials, seed) Monte Carlo budget a ``fidelity=`` value selects."""
-    if fidelity is True:
-        return ENGINE_FIDELITY_TRIALS, ENGINE_FIDELITY_SEED
+def _fidelity_budget(fidelity) -> Optional[Tuple[int, int]]:
+    """The (trials, seed) Monte Carlo budget a ``fidelity=`` value selects.
+
+    ``None`` (or ``False``) leaves the fidelity axis off and ``True``
+    turns it on at the default budget.  Any mapping — the empty one
+    included — turns it on too, and may override ``trials`` and
+    ``seed`` only: any other key (a typo like ``"trails"``) raises
+    instead of silently running the default budget.
+    """
+    if not isinstance(fidelity, Mapping):
+        return (ENGINE_FIDELITY_TRIALS, ENGINE_FIDELITY_SEED) if fidelity else None
+    unknown = sorted(set(fidelity) - {"trials", "seed"})
+    if unknown:
+        raise ValueError(
+            f"unknown fidelity option(s) {unknown}; a fidelity mapping "
+            "takes only 'trials' and 'seed'"
+        )
     return (
         int(fidelity.get("trials", ENGINE_FIDELITY_TRIALS)),
         int(fidelity.get("seed", ENGINE_FIDELITY_SEED)),

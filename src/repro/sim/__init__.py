@@ -10,8 +10,12 @@ and a makespan:
   :func:`simulate_hierarchy_run` over any registered workload/policy;
 * :mod:`repro.sim.events` — the discrete-event kernel and
   :class:`PortServer` transfer ports, speaking both time-model
-  dialects (greedy reservations, bit-identical to the retained
-  reference loops, and split transactions that pipeline hops);
+  dialects (greedy reservations replaying the PR 2 port arithmetic,
+  and split transactions that pipeline hops) for the audited oracle
+  engines;
+* :mod:`repro.sim.replay` / :mod:`repro.sim.fastsplit` — the fast
+  production engines, one per dialect, each pinned bit-identical to
+  its oracle;
 * :mod:`repro.sim.policies` / :mod:`repro.sim.prefetch` — the
   eviction-policy and exact-prefetcher registries;
 * :mod:`repro.sim.cache` — the two-level optimized-fetch cache
@@ -64,7 +68,6 @@ from .levels import (
     mixed_stack,
     simulate_hierarchy_run,
     simulate_hierarchy_run_audited,
-    simulate_hierarchy_run_reference,
     standard_stack,
     three_level_stack,
     two_level_stack,
@@ -135,7 +138,6 @@ __all__ = [
     "register_prefetcher",
     "simulate_hierarchy_run",
     "simulate_hierarchy_run_audited",
-    "simulate_hierarchy_run_reference",
     "simulate_in_order",
     "simulate_l1_run",
     "simulate_l1_run_reference",

@@ -15,9 +15,8 @@ dialects:
 
 * **Greedy reservations** (:meth:`PortServer.reserve`) — exactly the
   PR 2 arithmetic (pop the earliest-free lane, start no earlier than
-  ``ready``, hold through ``duration + hold``), kept so the engine's
-  compatibility path stays bit-identical to the retained reference
-  loop.  Reservations taken through :meth:`PortServer.reserve_handle`
+  ``ready``, hold through ``duration + hold``), the arithmetic of the
+  reservation model's audited oracle.  Reservations taken through :meth:`PortServer.reserve_handle`
   are cancellable: :meth:`Reservation.cancel` restores the lane's prior
   free-time.
 * **Split-transaction requests** (:meth:`PortServer.request`) — a

@@ -59,7 +59,7 @@ from .levels import (
     _WRITEBACK,
     HierarchyEngineResult,
     HierarchyStack,
-    LevelStat,
+    _level_stats,
 )
 from .prefetch import DistancePrefetcher, NextKPrefetcher
 from .replay import _FLAT_POLICIES, _FlatReplacement, _scan_program
@@ -625,28 +625,9 @@ def simulate_split_fast(
     occupancy = [0] * stack.depth
     for q in program.touched:
         occupancy[location[q]] += 1
-    level_stats = [
-        LevelStat(
-            name=stack.levels[i].name,
-            capacity=caps[i],
-            accesses=acc[i],
-            hits=hit[i],
-            misses=mis[i],
-            evictions=evc[i],
-            final_occupancy=occupancy[i],
-        )
-        for i in range(n_finite)
-    ]
-    bottom_level = stack.levels[-1]
-    level_stats.append(LevelStat(
-        name=bottom_level.name,
-        capacity=None,
-        accesses=bottom_hits,
-        hits=bottom_hits,
-        misses=0,
-        evictions=0,
-        final_occupancy=occupancy[-1],
-    ))
+    level_stats = _level_stats(
+        stack, zip(acc, hit, mis, evc), occupancy, bottom_hits
+    )
     serial_bottom = program.total_ec * stack.levels[bottom].op_time_s
     return HierarchyEngineResult(
         workload=circuit.name or f"circuit-{circuit.n_qubits}q",
@@ -656,7 +637,7 @@ def simulate_split_fast(
         serial_bottom_time_s=serial_bottom,
         compute_time_s=compute_time,
         transfer_wait_s=transfer_wait,
-        level_stats=tuple(level_stats),
+        level_stats=level_stats,
         fetches=tuple(fetches),
         writebacks=tuple(writebacks),
         prefetch=prefetch,

@@ -29,9 +29,10 @@ Since PR 3 the time model runs on the discrete-event kernel of
 
 * the **reservation model** (``pipeline=False``, the default) keeps
   the PR 2 semantics — ports are greedily reserved at scan time and a
-  miss's paired write-back holds the arrival port — and is pinned
-  bit-identical to the retained sequential loop
-  (:func:`simulate_hierarchy_run_reference`);
+  miss's paired write-back holds the arrival port.  Production runs
+  extract and price a movement trace (:mod:`repro.sim.replay`); the
+  one oracle they are pinned bit-identical to is the event-kernel
+  engine behind :func:`simulate_hierarchy_run_audited`;
 * the **split-transaction model** (``pipeline=True``) occupies a port
   only while a transfer is actually in flight, so multi-hop promotions
   pipeline across networks and short transfers backfill the idle
@@ -41,17 +42,19 @@ Since PR 3 the time model runs on the discrete-event kernel of
   prefetching is exact, not speculative, and prefetched qubits are
   pinned against eviction until first use.
 
-With a two-level stack and the ``lru`` policy the reservation model
-reproduces the original Table 5 simulator bit for bit (pinned by the
-equivalence tests against ``simulate_l1_run_reference``).
+Every entry point resolves its arguments through one front door
+(:func:`_resolve_run`) and every engine builds its per-level counters
+through one builder (:func:`_level_stats`).  With a two-level stack and
+the ``lru`` policy the reservation model reproduces the original
+Table 5 simulator bit for bit (pinned by the equivalence tests against
+``simulate_l1_run_reference``).
 """
 
 from __future__ import annotations
 
-import heapq
 import logging
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from ..circuits.circuit import Circuit, TraceIndex
 from ..ecc.concatenated import by_key
@@ -460,6 +463,43 @@ def _resolve_order(
     return range(len(gates))
 
 
+def _resolve_run(
+    stack: HierarchyStack,
+    workload: Union[Circuit, str],
+    policy: str,
+    window: Optional[int],
+    fetch: str,
+    order: Optional[Sequence[int]],
+    prefetch: str = "none",
+    pipeline: Optional[bool] = False,
+) -> Tuple[Circuit, Sequence[int], bool]:
+    """The one argument resolution of every engine entry point.
+
+    Resolves the workload and rejects an empty circuit, settles the
+    transfer model (``pipeline=None`` picks the split-transaction model
+    exactly when prefetching, which requires it), validates the policy
+    and only then resolves the fetch order, so a bad argument fails
+    before the (much more expensive) fetch scheduling.  Returns
+    ``(circuit, order, pipeline)``.
+    """
+    circuit = _resolve_workload(workload)
+    if not circuit.gates:
+        raise ValueError("cannot simulate an empty circuit")
+    validate_prefetcher(prefetch)
+    if pipeline is None:
+        pipeline = prefetch != "none"
+    if prefetch != "none" and not pipeline:
+        raise ValueError(
+            f"prefetch={prefetch!r} requires the split-transaction "
+            "pipeline; pipeline=False contradicts it"
+        )
+    validate_policy(policy)
+    order = _resolve_order(
+        circuit, stack.levels[0].capacity, window, fetch, order
+    )
+    return circuit, order, pipeline
+
+
 def simulate_hierarchy_run(
     stack: HierarchyStack,
     workload: Union[Circuit, str],
@@ -484,11 +524,10 @@ def simulate_hierarchy_run(
     (:mod:`repro.sim.prefetch`); anything but ``"none"`` walks the
     static fetch order and promotes upcoming operands ahead of demand.
     ``pipeline`` selects the transfer model: ``False`` is the PR 2
-    reservation model (bit-identical to
-    :func:`simulate_hierarchy_run_reference`), ``True`` the
-    split-transaction model.  The default (``None``) picks the
-    reservation model for ``prefetch="none"`` and the split-transaction
-    model otherwise — prefetching requires it.
+    reservation model, ``True`` the split-transaction model.  The
+    default (``None``) picks the reservation model for
+    ``prefetch="none"`` and the split-transaction model otherwise —
+    prefetching requires it.
 
     The fetch schedule depends only on (circuit, compute capacity,
     window), never on the eviction policy — callers comparing policies
@@ -505,24 +544,12 @@ def simulate_hierarchy_run(
     This entry point runs the *fast* engines — the reservation model
     through :mod:`repro.sim.replay` (extract the movement trace, price
     it), the split-transaction model through
-    :mod:`repro.sim.fastsplit` (the flattened event loop) — both
-    pinned bit-identical to the retained reference implementations
-    behind :func:`simulate_hierarchy_run_audited`.
+    :mod:`repro.sim.fastsplit` (the flattened event loop) — each
+    pinned bit-identical to its dialect's oracle behind
+    :func:`simulate_hierarchy_run_audited`.
     """
-    circuit = _resolve_workload(workload)
-    if not circuit.gates:
-        raise ValueError("cannot simulate an empty circuit")
-    validate_prefetcher(prefetch)
-    if pipeline is None:
-        pipeline = prefetch != "none"
-    if prefetch != "none" and not pipeline:
-        raise ValueError(
-            f"prefetch={prefetch!r} requires the split-transaction "
-            "pipeline; pipeline=False contradicts it"
-        )
-    validate_policy(policy)
-    order = _resolve_order(
-        circuit, stack.levels[0].capacity, window, fetch, order
+    circuit, order, pipeline = _resolve_run(
+        stack, workload, policy, window, fetch, order, prefetch, pipeline
     )
     if pipeline:
         from .fastsplit import simulate_split_fast, supports_fast_split
@@ -562,25 +589,16 @@ def simulate_hierarchy_run_audited(
 ) -> Tuple[HierarchyEngineResult, EngineAudit]:
     """:func:`simulate_hierarchy_run` plus the :class:`EngineAudit`.
 
+    Runs each dialect's oracle — the event-kernel reservation engine
+    (``pipeline=False``) or :class:`_SplitTransactionRun` — on the
+    registry policy objects; the fast engines are pinned to these.
     With a ``recorder`` attached the audit's ``residency_*`` fields are
     filled from the finished recorder's invariant checks.
     """
-    circuit = _resolve_workload(workload)
-    if not circuit.gates:
-        raise ValueError("cannot simulate an empty circuit")
-    validate_prefetcher(prefetch)
-    if pipeline is None:
-        pipeline = prefetch != "none"
-    if prefetch != "none" and not pipeline:
-        raise ValueError(
-            f"prefetch={prefetch!r} requires the split-transaction "
-            "pipeline; pipeline=False contradicts it"
-        )
-    top = stack.levels[0]
-    # One policy instance per finite level, built before the (much more
-    # expensive) fetch scheduling so a bad policy name fails fast.
+    circuit, order, pipeline = _resolve_run(
+        stack, workload, policy, window, fetch, order, prefetch, pipeline
+    )
     level_policies = [make_policy(policy) for _ in stack.levels[:-1]]
-    order = _resolve_order(circuit, top.capacity, window, fetch, order)
     trace = circuit.operand_trace(order)
     if pipeline:
         run = _SplitTransactionRun(
@@ -595,7 +613,7 @@ def simulate_hierarchy_run_audited(
 
 
 # ----------------------------------------------------------------------
-# reservation model (PR 2-compatible, bit-identical to the reference)
+# reservation model (PR 2-compatible: the reservation dialect's oracle)
 # ----------------------------------------------------------------------
 
 def _run_reservation(
@@ -610,14 +628,14 @@ def _run_reservation(
     """The PR 2 time model on :class:`~repro.sim.events.PortServer`.
 
     Ports are greedily reserved at scan time and the paired write-back
-    of an evicted qubit holds the arrival port — exactly the retained
-    sequential loop's arithmetic, so every float matches
-    :func:`simulate_hierarchy_run_reference` bit for bit.  A
-    ``recorder`` only observes the already-computed reservation times
-    (scan order is not per-qubit causal here — the recorder's
-    clamp-truncation handles the inversions).
+    of an evicted qubit holds the arrival port — the PR 2 sequential
+    loop's float arithmetic, replayed on the greedy side of
+    :class:`~repro.sim.events.PortServer`.  A ``recorder`` only
+    observes the already-computed reservation times (scan order is not
+    per-qubit causal here — the recorder's clamp-truncation handles the
+    inversions).
 
-    This is the audited reference behind
+    This is the reservation dialect's one oracle, reached only through
     :func:`simulate_hierarchy_run_audited`; production runs, recorded
     or not, extract and price a movement trace (:mod:`repro.sim.replay`)
     pinned bit-identical to it, recorder calls included.
@@ -770,39 +788,44 @@ def _residency_audit(recorder) -> Dict[str, object]:
     }
 
 
+def _level_stats(
+    stack: HierarchyStack,
+    counters: Iterable[Tuple[int, int, int, int]],
+    occupancy: Sequence[int],
+    bottom_hits: int,
+) -> Tuple[LevelStat, ...]:
+    """The per-level counters of one run, every engine's one builder.
+
+    ``counters`` holds one (accesses, hits, misses, evictions) row per
+    finite level, ``occupancy`` the final resident count of every
+    level; the backing store hits every access that reaches it.
+    """
+    stats = [
+        LevelStat(level.name, level.capacity, *row, occupancy[i])
+        for i, (level, row) in enumerate(zip(stack.levels[:-1], counters))
+    ]
+    store = stack.levels[-1]
+    stats.append(LevelStat(
+        store.name, None, bottom_hits, bottom_hits, 0, 0, occupancy[-1]
+    ))
+    return tuple(stats)
+
+
 def _collect_level_stats(
     stack: HierarchyStack,
     caches: List[PolicyCache],
     location: Dict[int, int],
     bottom_hits: int,
-) -> List[LevelStat]:
+) -> Tuple[LevelStat, ...]:
+    """:func:`_level_stats` read off the oracles' policy caches."""
     occupancy = [0] * stack.depth
     for level in location.values():
         occupancy[level] += 1
-    level_stats: List[LevelStat] = []
-    for i, cache in enumerate(caches):
-        level = stack.levels[i]
-        s = cache.stats
-        level_stats.append(LevelStat(
-            name=level.name,
-            capacity=level.capacity,
-            accesses=s.accesses,
-            hits=s.hits,
-            misses=s.misses,
-            evictions=s.evictions,
-            final_occupancy=occupancy[i],
-        ))
-    bottom_level = stack.levels[-1]
-    level_stats.append(LevelStat(
-        name=bottom_level.name,
-        capacity=None,
-        accesses=bottom_hits,
-        hits=bottom_hits,
-        misses=0,
-        evictions=0,
-        final_occupancy=occupancy[-1],
-    ))
-    return level_stats
+    counters = [
+        (s.accesses, s.hits, s.misses, s.evictions)
+        for s in (cache.stats for cache in caches)
+    ]
+    return _level_stats(stack, counters, occupancy, bottom_hits)
 
 
 def _check_conservation(
@@ -1236,160 +1259,3 @@ class _SplitTransactionRun:
             **_residency_audit(self.recorder),
         )
         return result, audit
-
-
-# ----------------------------------------------------------------------
-# retained reference (the PR 2 sequential loop, verbatim)
-# ----------------------------------------------------------------------
-
-def simulate_hierarchy_run_reference(
-    stack: HierarchyStack,
-    workload: Union[Circuit, str],
-    policy: str = "lru",
-    *,
-    window: Optional[int] = None,
-    fetch: str = "optimized",
-    order: Optional[Sequence[int]] = None,
-) -> HierarchyEngineResult:
-    """The PR 2 sequential engine loop, retained verbatim.
-
-    This is the executable specification the event-kernel engine's
-    reservation model is pinned against: same fetch order, same
-    replacement decisions, same greedy port arithmetic, field-for-field
-    identical :class:`HierarchyEngineResult` (the prefetch fields stay
-    at their defaults).
-    """
-    circuit = _resolve_workload(workload)
-    if not circuit.gates:
-        raise ValueError("cannot simulate an empty circuit")
-    if fetch not in ("optimized", "in-order"):
-        raise ValueError(
-            f"unknown fetch mode {fetch!r}; use 'optimized' or 'in-order'"
-        )
-    if window is not None and (order is not None or fetch != "optimized"):
-        raise ValueError(
-            "window only applies to fetch='optimized' without a "
-            "precomputed order; it would be silently ignored here"
-        )
-    if order is not None and fetch != "optimized":
-        raise ValueError(
-            "order and fetch='in-order' contradict each other; a "
-            "precomputed order already fixes the schedule"
-        )
-    gates = circuit.gates
-    top = stack.levels[0]
-    level_policies = [make_policy(policy) for _ in stack.levels[:-1]]
-    if order is not None:
-        if sorted(order) != list(range(len(gates))):
-            raise ValueError(
-                "order must be a permutation of the circuit's gate indices"
-            )
-    elif fetch == "optimized":
-        order = simulate_optimized(circuit, top.capacity, window=window).order
-    else:
-        order = range(len(gates))
-    trace = [q for idx in order for q in gates[idx].qubits]
-
-    bottom = stack.depth - 1
-    caches = [
-        PolicyCache(level.capacity, level_policy, trace)
-        for level, level_policy in zip(stack.levels[:-1], level_policies)
-    ]
-    networks = stack.networks()
-    demote = [net.demote_time_s for net in networks]
-    promote = [net.promote_time_s for net in networks]
-    ports: List[List[float]] = []
-    for net in networks:
-        lanes = max(1, round(net.effective_concurrency))
-        heap = [0.0] * lanes
-        heapq.heapify(heap)
-        ports.append(heap)
-
-    location = {q: bottom for q in circuit.touched_qubits()}
-    fetches = [0] * len(networks)
-    writebacks = [0] * len(networks)
-    bottom_hits = 0
-
-    top_op = top.op_time_s
-    compute_free = 0.0
-    transfer_wait = 0.0
-    compute_time = 0.0
-    pos = 0
-    for idx in order:
-        gate = gates[idx]
-        arrivals = 0.0
-        issued: set = set()
-        for q in gate.qubits:
-            src = location[q]
-            if src == 0:
-                caches[0].access_evicting(q, pos)  # guaranteed hit
-                issued.add(q)
-                pos += 1
-                continue
-            for k in range(1, src):
-                caches[k].record_miss()
-            if src == bottom:
-                bottom_hits += 1
-            else:
-                caches[src].lookup_remove(q, pos)
-            prev = 0.0
-            for k in range(src - 1, 0, -1):
-                port = heapq.heappop(ports[k])
-                start = port if port > prev else prev
-                prev = start + demote[k]
-                fetches[k] += 1
-                heapq.heappush(ports[k], prev)
-            port = heapq.heappop(ports[0])
-            start = port if port > prev else prev
-            arrival = start + demote[0]
-            fetches[0] += 1
-            _, evicted = caches[0].access_evicting(q, pos, issued)
-            location[q] = 0
-            issued.add(q)
-            busy = arrival
-            if evicted is not None:
-                busy = arrival + promote[0]
-                writebacks[0] += 1
-                location[evicted] = 1
-                victim = evicted
-                available = busy
-                lvl = 1
-                while lvl < bottom:
-                    bumped = caches[lvl].insert(victim, pos)
-                    if bumped is None:
-                        break
-                    writebacks[lvl] += 1
-                    location[bumped] = lvl + 1
-                    lower_port = heapq.heappop(ports[lvl])
-                    start2 = (lower_port if lower_port > available
-                              else available)
-                    available = start2 + promote[lvl]
-                    heapq.heappush(ports[lvl], available)
-                    victim = bumped
-                    lvl += 1
-            heapq.heappush(ports[0], busy)
-            if arrival > arrivals:
-                arrivals = arrival
-            pos += 1
-        start = compute_free if compute_free > arrivals else arrivals
-        if arrivals > compute_free:
-            transfer_wait += arrivals - compute_free
-        duration = gate.ec_slots * top_op
-        compute_free = start + duration
-        compute_time += duration
-
-    level_stats = _collect_level_stats(stack, caches, location, bottom_hits)
-    bottom_level = stack.levels[bottom]
-    serial_bottom = sum(g.ec_slots for g in gates) * bottom_level.op_time_s
-    return HierarchyEngineResult(
-        workload=circuit.name or f"circuit-{circuit.n_qubits}q",
-        policy=policy,
-        depth=stack.depth,
-        total_time_s=compute_free,
-        serial_bottom_time_s=serial_bottom,
-        compute_time_s=compute_time,
-        transfer_wait_s=transfer_wait,
-        level_stats=tuple(level_stats),
-        fetches=tuple(fetches),
-        writebacks=tuple(writebacks),
-    )

@@ -65,14 +65,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..circuits.circuit import Circuit
-from .levels import (
-    HierarchyEngineResult,
-    HierarchyStack,
-    LevelStat,
-    _resolve_order,
-    _resolve_workload,
-)
-from .policies import PolicyCache, ScorePolicy, make_policy, validate_policy
+from .levels import HierarchyEngineResult, HierarchyStack, _level_stats, _resolve_run
+from .policies import PolicyCache, ScorePolicy, make_policy
 
 __all__ = [
     "MULTI_NUMPY_THRESHOLD",
@@ -382,11 +376,7 @@ def extract_movement_trace(
     are deliberately ignored, which is the whole point: one trace
     prices every code assignment of the same shape.
     """
-    circuit = _resolve_workload(workload)
-    if not circuit.gates:
-        raise ValueError("cannot simulate an empty circuit")
-    validate_policy(policy)
-    order = _resolve_order(circuit, stack.levels[0].capacity, window, fetch, order)
+    circuit, order, _ = _resolve_run(stack, workload, policy, window, fetch, order)
     return _extract(stack, circuit, policy, _scan_program(circuit, order))
 
 
@@ -1124,29 +1114,14 @@ def _result_from_trace(
     compute_time: float,
     transfer_wait: float,
 ) -> HierarchyEngineResult:
-    level_stats = [
-        LevelStat(
-            name=level.name,
-            capacity=level.capacity,
-            accesses=trace.level_accesses[i],
-            hits=trace.level_hits[i],
-            misses=trace.level_misses[i],
-            evictions=trace.level_evictions[i],
-            final_occupancy=trace.final_occupancy[i],
-        )
-        for i, level in enumerate(stack.levels[:-1])
-    ]
-    bottom_level = stack.levels[-1]
-    level_stats.append(LevelStat(
-        name=bottom_level.name,
-        capacity=None,
-        accesses=trace.bottom_hits,
-        hits=trace.bottom_hits,
-        misses=0,
-        evictions=0,
-        final_occupancy=trace.final_occupancy[-1],
-    ))
-    serial_bottom = trace.total_ec * bottom_level.op_time_s
+    counters = zip(
+        trace.level_accesses, trace.level_hits,
+        trace.level_misses, trace.level_evictions,
+    )
+    level_stats = _level_stats(
+        stack, counters, trace.final_occupancy, trace.bottom_hits
+    )
+    serial_bottom = trace.total_ec * stack.levels[-1].op_time_s
     return HierarchyEngineResult(
         workload=trace.workload,
         policy=trace.policy,
@@ -1155,7 +1130,7 @@ def _result_from_trace(
         serial_bottom_time_s=serial_bottom,
         compute_time_s=compute_time,
         transfer_wait_s=transfer_wait,
-        level_stats=tuple(level_stats),
+        level_stats=level_stats,
         fetches=tuple(trace.fetches),
         writebacks=tuple(trace.writebacks),
     )

@@ -33,7 +33,6 @@ from repro.sim.levels import (
     mixed_stack,
     simulate_hierarchy_run,
     simulate_hierarchy_run_audited,
-    simulate_hierarchy_run_reference,
     standard_stack,
 )
 from repro.sim.policies import available_policies
@@ -152,8 +151,8 @@ class TestMixedEngineRuns:
     def test_reservation_model_matches_reference(self, policy):
         stack = mixed_stack("bacon_shor", "steane", **SMALL)
         engine = simulate_hierarchy_run(stack, "draper_adder", policy=policy)
-        reference = simulate_hierarchy_run_reference(
-            stack, "draper_adder", policy=policy
+        reference, _ = simulate_hierarchy_run_audited(
+            stack, "draper_adder", policy=policy, pipeline=False
         )
         assert engine == reference  # field-for-field, float-for-float
 

@@ -5,12 +5,14 @@ the N-level hierarchy engine are rewrites of paths whose numbers the
 paper tables depend on — each must produce *bit-identical* output to
 the implementation it replaced.  The references are kept in the tree
 (``simulate_optimized_reference``, ``logical_error_rate_reference``,
-``simulate_l1_run_reference``) as executable specifications, and these
-tests pin the new paths to them.
+``simulate_l1_run_reference``, and the reservation model's audited
+oracle ``simulate_hierarchy_run_audited(..., pipeline=False)``) as
+executable specifications, and these tests pin the new paths to them.
 """
 
 import pytest
 
+from repro.circuits.circuit import Circuit
 from repro.circuits.workloads import build_workload
 from repro.core.design_space import hierarchy_sweep
 from repro.ecc.bacon_shor import bacon_shor_code
@@ -24,10 +26,11 @@ from repro.sim.cache import simulate_optimized, simulate_optimized_reference
 from repro.sim.hierarchy_sim import simulate_l1_run, simulate_l1_run_reference
 from repro.sim.levels import (
     simulate_hierarchy_run,
-    simulate_hierarchy_run_reference,
+    simulate_hierarchy_run_audited,
     standard_stack,
 )
 from repro.sim.policies import available_policies
+from repro.sim.replay import extract_movement_trace
 from repro.sim.scheduler import _adder_circuit
 
 COMPUTE_QUBITS = 27
@@ -105,10 +108,42 @@ class TestHierarchyEngineEquivalence:
             assert row.l1_speedup == ref.l1_speedup
 
 
+def _reservation_oracle(stack, circuit, **kwargs):
+    """The reservation dialect's one oracle: the audited event-kernel
+    engine with pipelining disabled (result only, audit dropped)."""
+    return simulate_hierarchy_run_audited(
+        stack, circuit, pipeline=False, **kwargs
+    )[0]
+
+
+#: Every engine entry point resolves its arguments through one front
+#: door, so each rejects the same malformed requests the same way.
+_ENTRY_POINTS = (
+    simulate_hierarchy_run,
+    simulate_hierarchy_run_audited,
+    extract_movement_trace,
+)
+
+_BAD_ARGUMENTS = (
+    ("fetch-mode", {"fetch": "optimised"}, "unknown fetch mode"),
+    ("in-order-with-order", {"fetch": "in-order", "order": [0, 1]},
+     "contradict"),
+    ("window-with-order", {"window": 4, "order": [0, 1]},
+     "window only applies"),
+    ("order-not-permutation", {"order": [0, 0]}, "permutation"),
+    ("unknown-policy", {"policy": "optimal"}, "unknown eviction policy"),
+    ("empty-circuit", {"workload": Circuit(3)}, "empty circuit"),
+    # Extraction is reservation-only: it takes no prefetch argument.
+    ("prefetch-without-pipeline", {"prefetch": "next_k",
+                                   "pipeline": False}, "pipeline"),
+)
+
+
 class TestEventKernelEngineEquivalence:
-    """The event-kernel engine's reservation model (prefetch="none",
-    pipelining disabled) must reproduce the retained PR 2 sequential
-    loop field for field on every engine-sweep cell shape."""
+    """The production reservation model (replay: extract the movement
+    trace, price it) must reproduce the event-kernel oracle
+    (``simulate_hierarchy_run_audited(..., pipeline=False)``) field for
+    field on every engine-sweep cell shape."""
 
     @pytest.mark.parametrize("workload", ["draper_adder", "qft",
                                           "modexp_trace"])
@@ -119,7 +154,7 @@ class TestEventKernelEngineEquivalence:
                                cache_factor=1.0)
         circuit = build_workload(workload, 16)
         engine = simulate_hierarchy_run(stack, circuit, policy=policy)
-        ref = simulate_hierarchy_run_reference(stack, circuit, policy=policy)
+        ref = _reservation_oracle(stack, circuit, policy=policy)
         # Frozen-dataclass equality: every field exactly equal, floats
         # included — no tolerance.
         assert engine == ref
@@ -129,27 +164,26 @@ class TestEventKernelEngineEquivalence:
         stack = standard_stack(code_key, 3)
         circuit = build_workload("draper_adder", 64)
         engine = simulate_hierarchy_run(stack, circuit)
-        ref = simulate_hierarchy_run_reference(stack, circuit)
+        ref = _reservation_oracle(stack, circuit)
         assert engine == ref
 
-    def test_explicit_pipeline_false_with_prefetch_raises(self):
+    @pytest.mark.parametrize("entry,kwargs,match", [
+        pytest.param(entry, kwargs, match, id=f"{entry.__name__}-{case}")
+        for case, kwargs, match in _BAD_ARGUMENTS
+        for entry in _ENTRY_POINTS
+        if entry is not extract_movement_trace or "prefetch" not in kwargs
+    ])
+    def test_front_door_validates_every_entry_point(
+        self, entry, kwargs, match
+    ):
+        # A typo'd or contradictory request must raise, never silently
+        # run some other schedule, policy or transfer model.
         stack = standard_stack("steane", 3, compute_qubits=12,
                                cache_factor=1.0)
-        with pytest.raises(ValueError, match="pipeline"):
-            simulate_hierarchy_run(stack, "qft", prefetch="next_k",
-                                   pipeline=False)
-
-    def test_reference_validates_like_the_engine(self):
-        # The reference is the executable spec: a typo'd fetch mode
-        # must raise, not silently run the in-order schedule.
-        stack = standard_stack("steane", 3, compute_qubits=12,
-                               cache_factor=1.0)
-        with pytest.raises(ValueError, match="unknown fetch mode"):
-            simulate_hierarchy_run_reference(stack, "qft",
-                                             fetch="optimised")
-        with pytest.raises(ValueError, match="contradict"):
-            simulate_hierarchy_run_reference(stack, "qft",
-                                             fetch="in-order", order=[0, 1])
+        kwargs = dict(kwargs)
+        workload = kwargs.pop("workload", "qft")
+        with pytest.raises(ValueError, match=match):
+            entry(stack, workload, **kwargs)
 
 
 class TestMonteCarloEquivalence:

@@ -544,6 +544,26 @@ class TestFidelityOffPins:
         with pytest.raises(ValueError, match="per-cell"):
             engine_sweep(fidelity=True, batched=True)
 
+    TINY = dict(
+        workloads=("qft",), sizes=(N_BITS,), depths=(2,),
+        policies=("lru",), prefetches=("none",), code_pairs=(),
+        cache=False,
+    )
+
+    def test_misspelled_fidelity_key_rejected(self):
+        # A typo must not silently run the default Monte Carlo budget.
+        with pytest.raises(ValueError, match="trails"):
+            engine_sweep(fidelity={"trails": 10}, **self.TINY)
+
+    def test_empty_fidelity_mapping_turns_the_axis_on(self):
+        # Any mapping selects the fidelity axis; an empty one keeps the
+        # default budget instead of silently returning plain EngineRows.
+        (row,) = engine_sweep(fidelity={}, **self.TINY)
+        assert type(row) is FidelityRow
+        assert (row.fidelity_trials, row.fidelity_seed) == (
+            ENGINE_FIDELITY_TRIALS, ENGINE_FIDELITY_SEED,
+        )
+
 
 class TestCircuitMemo:
     """Every cell of one (workload, size) pair shares one circuit build."""
