@@ -386,7 +386,7 @@ def _bench_trace_cache_warm_speedup(alternations: int = 2):
 
 
 def _bench_multi_group_pricing_speedup(alternations: int = 3):
-    """Whole-grid one-pass pricing vs per-group batched pricing, as a
+    """Multi-group one-pass pricing vs per-group batched pricing, as a
     speedup ratio (per-group / multi) over a realistic engine grid
     slice: four traffic groups (one per eviction policy) each priced
     across 32 configurations (eight transfer widths x four code
@@ -489,9 +489,10 @@ def _bench_sweep_store(loops: int = 3):
 def _bench_supervised_overhead(alternations: int = 3):
     """The fault-free supervision tax on the sweep runner, as a ratio.
 
-    Runs the same small engine grid through ``compute_grid`` bare and
-    under the identity ``Supervision()`` in alternation (so clock
-    drift hits both arms equally) and returns ``supervised/raw - 1``
+    Runs the same small engine grid through ``compute_grid`` fail-fast
+    (no spec) and under an explicit identity ``Supervision()`` in
+    alternation (so clock drift hits both arms equally) and returns
+    ``supervised/raw - 1``
     on the best-of times.  Unlike every other kernel this one measures
     *itself* and returns a dimensionless fraction, signalled by the
     ``_overhead`` name suffix: machine speed cancels out of a ratio,
@@ -736,7 +737,7 @@ OVERHEAD_SLACK = 0.05
 #: must stay >= 5x the audited reservation oracle on the policy cell, the
 #: batched sweep >= 2x the per-cell path on a four-config traffic
 #: group, a warm trace cache >= 5x a cold batched sweep, and
-#: whole-grid multi-trace pricing >= 1.5x per-group batched pricing.
+#: multi-group one-pass pricing >= 1.5x per-group batched pricing.
 #: Ratios are machine-independent, so the floors gate directly —
 #: falling below one means the factorization (or the cache) stopped
 #: paying for itself, whatever the baseline says.

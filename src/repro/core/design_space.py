@@ -642,26 +642,6 @@ def engine_batch_cell(
     return [_engine_row(params, run) for params, run in zip(group, runs)]
 
 
-def engine_grid_cells(
-    groups: Sequence[Sequence[Mapping[str, Any]]], trace_cache=None
-) -> List[List[EngineRow]]:
-    """Row lists for many traffic groups, priced in one grid pass.
-
-    All traces are extracted (or loaded from ``trace_cache``) first,
-    then :func:`repro.sim.replay.price_movement_traces_multi` prices
-    every (group x config) cell in a single vectorized sweep — pinned
-    bit-identical to mapping :func:`engine_batch_cell` over the groups.
-    """
-    from ..sim.replay import price_movement_traces_multi
-
-    prepared = [_group_trace(group, trace_cache) for group in groups]
-    priced = price_movement_traces_multi(prepared)
-    return [
-        [_engine_row(params, run) for params, run in zip(group, runs)]
-        for group, runs in zip(groups, priced)
-    ]
-
-
 @dataclass(frozen=True)
 class _EngineBatchKernel:
     """Picklable per-group engine kernel bound to a trace-cache dir.
@@ -685,24 +665,13 @@ class _EngineBatchKernel:
         return engine_batch_cell(group, trace_cache=self._cache())
 
 
-@dataclass(frozen=True)
-class _EngineGridKernel(_EngineBatchKernel):
-    """Picklable whole-grid engine kernel bound to a trace-cache dir."""
-
-    def __call__(
-        self, groups: Sequence[Sequence[Mapping[str, Any]]]
-    ) -> List[List[EngineRow]]:
-        return engine_grid_cells(groups, trace_cache=self._cache())
-
-
 def engine_batch_spec(trace_cache=None):
     """The engine grid's :class:`repro.sweep.runner.BatchSpec`.
 
     Pass it as ``compute_grid(..., batch=engine_batch_spec())`` (or use
     ``engine_sweep(batched=True)`` / the CLI's ``--batched``) to group
     batchable cells by traffic key and price each group in one pass.
-    On serial unsupervised runs the spec's grid mode prices *all*
-    groups in one :func:`engine_grid_cells` call.
+    Each group is one work item of the runner, serial or pooled alike.
 
     ``trace_cache`` (anything
     :func:`repro.perf.tracecache.resolve_trace_cache` accepts) makes
@@ -718,7 +687,6 @@ def engine_batch_spec(trace_cache=None):
     return BatchSpec(
         group_key=engine_traffic_key,
         fn=_EngineBatchKernel(directory),
-        grid_fn=_EngineGridKernel(directory),
     )
 
 

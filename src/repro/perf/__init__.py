@@ -1,4 +1,4 @@
-"""Performance infrastructure: memoization, fan-out, durable results.
+"""Performance infrastructure: memoization, supervised fan-out, durable results.
 
 The design-space sweeps (Tables 4 and 5) and the hierarchy simulator
 evaluate many independent, deterministic cells; this subsystem supplies
@@ -8,8 +8,6 @@ the generic accelerators they share:
   with an in-process LRU in front of an optional JSON file cache, so
   repeated sweeps (within one process or across runs) pay for each cell
   once;
-* :mod:`repro.perf.parallel` — an opt-in ``workers=N`` process-pool map
-  for the embarrassingly parallel sweep cells;
 * :mod:`repro.perf.store` — a durable, content-addressed result store
   (atomic per-cell JSON records, ``flock``-guarded index) that sharded
   sweep workers on many hosts fill concurrently and ``merge`` reads
@@ -23,10 +21,11 @@ the generic accelerators they share:
   of serialized movement traces (verified, corrupt-tolerant blobs with
   durable hit/miss counters), so repeated and resumed engine sweeps
   skip traffic simulation entirely;
-* :mod:`repro.perf.supervise` — a fault-tolerant executor over the
-  pool: retry with deterministic backoff, per-cell wall-clock deadlines
-  (hung workers are reaped), ``BrokenProcessPool`` recovery, and
-  classified terminal failures for quarantine;
+* :mod:`repro.perf.supervise` — the one cell executor, serial or over
+  an opt-in ``workers=N`` process pool: retry with deterministic
+  backoff, per-cell wall-clock deadlines (hung workers are reaped),
+  ``BrokenProcessPool`` recovery, and classified terminal failures for
+  quarantine;
 * :mod:`repro.perf.chaos` — the deterministic fault-injection harness
   that proves the supervision semantics (scripted raise/transient/
   hang/exit/corrupt faults, reproducible across processes).
@@ -47,7 +46,6 @@ from .backends import (
 )
 from .chaos import ChaosFault, ChaosPlan, ChaosTransientError, Fault
 from .memo import SweepCache, default_cache, resolve_cache, stable_key
-from .parallel import parallel_iter, parallel_map
 from .store import ResultStore, StoreStatus, atomic_write_text, resolve_store
 from .tracecache import TraceCache, default_trace_cache, resolve_trace_cache
 from .supervise import (
@@ -84,8 +82,6 @@ __all__ = [
     "default_trace_cache",
     "locator_path",
     "open_store",
-    "parallel_iter",
-    "parallel_map",
     "parse_locator",
     "resolve_cache",
     "resolve_store",

@@ -287,18 +287,6 @@ def wrap(fn: Callable[[Mapping[str, Any]], Any]) -> ChaosWrapped:
     return ChaosWrapped(fn)
 
 
-def wrap_if_active(
-    fn: Callable[[Mapping[str, Any]], Any],
-) -> Callable[[Mapping[str, Any]], Any]:
-    """``wrap(fn)`` when a plan is installed, else ``fn`` unchanged.
-
-    The runner calls this on every grid execution; with no plan in the
-    environment the kernel passes through untouched, so production runs
-    pay nothing.
-    """
-    return wrap(fn) if os.environ.get(CHAOS_ENV) else fn
-
-
 #: One-entry parse cache: (env text, parsed plan).
 _PLAN_CACHE: Tuple[Optional[str], Optional[ChaosPlan]] = (None, None)
 

@@ -1,10 +1,10 @@
 """Supervised cell execution: retries, deadlines, crash recovery.
 
-:func:`repro.perf.parallel.parallel_indexed` is the bare fan-out — one
-raising cell aborts the iteration, a hung cell blocks it forever, and a
-dead worker process takes the whole pool down.  This module wraps the
-same contract (yield ``(index, result)``-shaped outcomes in completion
-order) in the fault model of a real fleet scheduler:
+:func:`supervised_indexed` is the one executor every grid run uses
+(:func:`repro.sweep.runner.compute_grid` reaches it from a single call
+site).  It runs items serially or over a process pool and yields one
+:class:`CellOutcome` per item in completion order, under the fault
+model of a real fleet scheduler:
 
 * **Retries** — a :class:`RetryPolicy` bounds attempts per cell, with
   exponential backoff and *deterministic* seeded jitter (two runs of the
@@ -22,10 +22,11 @@ order) in the fault model of a real fleet scheduler:
   digest) instead of raising, so callers can quarantine it and keep
   going; ``max_failures`` bounds how much quarantine a run tolerates.
 
-The zero-retry, no-deadline configuration is the *identity wrapper*:
-cells run exactly once through the same pool shape as the bare fan-out,
-so fault-free supervised sweeps are bit-identical to unsupervised ones
-(pinned by ``tests/test_supervise.py``).
+The zero-retry, no-deadline configuration (the default
+:class:`Supervision`) is the *identity wrapper*: every item runs
+exactly once, and a failing item's outcome carries its own exception
+(:attr:`CellOutcome.error`), so a fail-fast caller can re-raise it
+unchanged.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from typing import (
     Iterable,
     Iterator,
     List,
-    Mapping,
     Optional,
     Tuple,
     TypeVar,
@@ -134,10 +134,10 @@ class Supervision:
     """The full supervision contract one grid execution runs under.
 
     The default is the identity configuration: one attempt, no
-    deadline, unlimited failures, quarantine on — fault-free runs are
-    bit-identical to the unsupervised runner.  ``quarantine=False``
-    restores fail-fast semantics (the first terminal failure raises
-    out of :func:`repro.sweep.runner.compute_grid`).
+    deadline, unlimited failures, quarantine on.
+    :func:`repro.sweep.runner.compute_grid` runs under it when given no
+    spec.  ``quarantine=False`` restores fail-fast semantics (the first
+    terminal failure raises :class:`repro.sweep.runner.CellFailed`).
     """
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)
@@ -170,12 +170,18 @@ class CellFailure:
 
 @dataclass(frozen=True)
 class CellOutcome:
-    """One cell's final result: a value or a classified failure."""
+    """One cell's final result: a value or a classified failure.
+
+    ``error`` is the exception behind a failure (for a reaped or
+    crashed cell, the :class:`CellTimeout` or :class:`WorkerCrash`
+    standing in for it); it is never persisted.
+    """
 
     index: int
     value: Any = None
     failure: Optional[CellFailure] = None
     attempts: int = 1
+    error: Optional[BaseException] = field(default=None, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -212,13 +218,17 @@ def supervised_indexed(
 ) -> Iterator[CellOutcome]:
     """Yield a :class:`CellOutcome` per item, in completion order.
 
-    The supervised analogue of
-    :func:`repro.perf.parallel.parallel_indexed`: same serial/pool mode
-    selection, same completion-order streaming, but a failing, hanging,
-    or crashing cell yields a failure outcome (after retries) instead
-    of killing the iteration.  A ``cell_timeout_s`` forces pool mode
-    even for ``workers<=1`` — deadlines can only be enforced on work
-    that runs in a reapable child process.
+    ``workers`` of None, 0 or 1 (or a single item) runs serially
+    in-process, lazily, in input order; larger values run a process
+    pool with at most ``workers`` items in flight, so an abandoned
+    iteration (``close()``) never starts another item.  A failing,
+    hanging, or crashing cell yields a failure outcome (after retries)
+    instead of killing the iteration.  Within one batch of completed
+    pool futures, successes are yielded before failures, so a consumer
+    that stops at the first failure has still seen every result that
+    had finished.  A ``cell_timeout_s`` forces pool mode even for
+    ``workers<=1`` — deadlines can only be enforced on work that runs
+    in a reapable child process.
 
     ``weights`` (one positive factor per item, default 1.0) scales each
     item's deadline: a group-shaped item covering G cells gets
@@ -279,11 +289,17 @@ def _supervised_serial(
                     index,
                     failure=classify_failure(exc, attempt),
                     attempts=attempt,
+                    error=exc,
                 )
                 _check_budget(failures, supervision)
                 break
             yield CellOutcome(index, value=value, attempts=attempt)
             break
+
+
+def _failed(future: Any) -> bool:
+    """Whether a finished pool future holds a failure, not a result."""
+    return future.cancelled() or future.exception() is not None
 
 
 def _terminate_workers(pool: Any) -> None:
@@ -335,6 +351,7 @@ def _supervised_pool(
             index,
             failure=classify_failure(exc, attempts[index]),
             attempts=attempts[index],
+            error=exc,
         )
 
     def restart_pool() -> None:
@@ -387,10 +404,11 @@ def _supervised_pool(
                 timeout=None if timeout is None else max(0.0, timeout),
                 return_when=FIRST_COMPLETED,
             )
-            # Index order within a batch keeps multi-failure runs
-            # deterministic; cross-batch order is completion order,
-            # exactly like the bare fan-out.
-            for future in sorted(done, key=inflight.__getitem__):
+            # Successes before failures within a batch, so a budget
+            # abort or a fail-fast consumer never drops a finished
+            # cell; index order within each keeps multi-failure runs
+            # deterministic.  Cross-batch order is completion order.
+            for future in sorted(done, key=lambda f: (_failed(f), inflight[f])):
                 index = inflight.pop(future)
                 deadlines.pop(future, None)
                 if future.cancelled():

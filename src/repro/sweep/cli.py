@@ -334,8 +334,8 @@ def _trace_cache_tally(args: argparse.Namespace) -> Iterator[None]:
 def _supervision_from_args(args: argparse.Namespace) -> Optional[Supervision]:
     """A :class:`Supervision` spec iff any fault-tolerance flag was given.
 
-    With none of them the plain runner is used, keeping the default CLI
-    path byte-for-byte the pre-supervision behaviour.
+    With none of them the runner fails fast: the first failing cell's
+    own exception ends the command.
     """
     if not args.retries and args.cell_timeout is None and args.max_failures is None:
         return None

@@ -4,18 +4,20 @@
 single-process :func:`repro.core.design_space.engine_sweep` call, a
 ``python -m repro.sweep run --shard i/K`` worker, and a ``resume`` after
 a crash are all the same loop: skip cells whose record is already in
-the store, fan the rest over :func:`repro.perf.parallel.parallel_indexed`,
-persist each result as it completes, return rows in canonical grid
-order.
+the store, turn the rest into work items (one per cell, or one per
+traffic group under a :class:`BatchSpec`), run them through
+:func:`repro.perf.supervise.supervised_indexed`, persist each result as
+it completes, return rows in canonical grid order.
 
-A ``supervise=`` :class:`repro.perf.supervise.Supervision` spec runs
-the same loop under the supervised executor instead: transient faults
-are retried, hung cells reaped, dead workers rebuilt, and a cell that
-exhausts its retries is *quarantined* — its classified failure lands as
-a durable store record and its row slot stays ``None`` — rather than
-killing the shard (``quarantine=False`` restores fail-fast via
-:class:`CellFailed`).  Fault-free supervised runs are bit-identical to
-unsupervised ones.
+Without a ``supervise=`` spec the loop runs under the identity
+:class:`repro.perf.supervise.Supervision` (one attempt, no deadline)
+and fails fast with the failing cell's own exception.  With one,
+transient faults are retried, hung cells reaped, dead workers rebuilt,
+and a cell that exhausts its retries is *quarantined* — its classified
+failure lands as a durable store record and its row slot stays
+``None`` — rather than killing the shard (``quarantine=False``
+restores fail-fast via :class:`CellFailed`).  Fault-free output is the
+same either way.
 
 :func:`rows_from_store` is the read-only half — ``merge``, ``status``
 and the table builders use it to reassemble a sweep without computing
@@ -28,10 +30,9 @@ absent or corrupt, unless ``allow_missing=True`` degrades gracefully
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from ..perf import chaos
-from ..perf.parallel import parallel_indexed
 from ..perf.store import ResultStore, resolve_store
 from ..perf.supervise import CellFailure, Supervision, supervised_indexed
 from .grid import Cell, Grid
@@ -72,38 +73,27 @@ class BatchSpec:
     parameter dicts of one group (in canonical grid order) and returns
     one row per member, same order.  Both must be module-level
     (picklable) so groups can run in pool workers.
-
-    ``grid_fn`` is the optional whole-grid kernel: it takes *every*
-    group's member tuple at once and returns one row list per group
-    (same orders) — the engine's grid mode extracts or cache-loads all
-    movement traces first, then prices the entire (group x config) grid
-    in a single vectorized pass.  It must be bit-identical to mapping
-    ``fn`` over the groups; the runner engages it only on serial,
-    unsupervised runs (a process pool already spreads groups across
-    cores, and supervision retries/quarantines per group), so every
-    other execution mode is untouched.
     """
 
     group_key: Callable[[Dict[str, Any]], Optional[str]]
     fn: Callable[[Tuple[Dict[str, Any], ...]], List[Any]]
-    grid_fn: Optional[
-        Callable[[Tuple[Tuple[Dict[str, Any], ...], ...]], List[List[Any]]]
-    ] = None
 
 
 @dataclass(frozen=True)
 class _BatchKernel:
-    """Picklable dispatcher for batched work items.
+    """Picklable dispatcher for the runner's work items.
 
-    A work item is ``("cell", params)`` or ``("group", (params, ...))``;
-    both return a *list* of rows so the runner maps results back
-    uniformly.  Chaos faults fire per member — a scripted fault aimed
-    at any one cell of a group poisons (and on retry, re-poisons) the
-    whole group, which is the unit of supervised work.
+    A work item is ``("cell", params)`` or ``("group", (params, ...))``
+    (groups only under a :class:`BatchSpec`, whose kernel is
+    ``group_fn``); both return a *list* of rows so the runner maps
+    results back uniformly.  Chaos faults fire here, inside the worker,
+    per member — a scripted fault aimed at any one cell of a group
+    poisons (and on retry, re-poisons) the whole group, which is the
+    unit of supervised work.
     """
 
     cell_fn: Callable[[Dict[str, Any]], Any]
-    group_fn: Callable[[Tuple[Dict[str, Any], ...]], List[Any]]
+    group_fn: Optional[Callable[[Tuple[Dict[str, Any], ...]], List[Any]]]
 
     def __call__(self, item: Tuple[str, Any]) -> List[Any]:
         kind, payload = item
@@ -156,27 +146,26 @@ def compute_grid(
     canonical grid order, so a warm, cold, sharded, or mixed run yields
     the identical row sequence.
 
-    ``supervise`` switches execution to the supervised pool
-    (:func:`repro.perf.supervise.supervised_indexed`): failures are
-    retried per its policy, and a cell that exhausts its attempts is
-    quarantined — a durable failure record replaces its result and its
-    slot in the returned list is ``None`` — unless
-    ``supervise.quarantine`` is False, in which case :class:`CellFailed`
-    raises.  With the default :class:`Supervision` (one attempt, no
-    deadline) fault-free output is bit-identical to the unsupervised
-    path.
+    Every run goes through
+    :func:`repro.perf.supervise.supervised_indexed`.  With
+    ``supervise=None`` it runs under the identity :class:`Supervision`
+    and fails fast: the first failing cell's own exception is re-raised
+    once every result that finished before it has been persisted.  A
+    ``supervise`` spec retries failures per its policy, and a cell that
+    exhausts its attempts is quarantined — a durable failure record
+    replaces its result and its slot in the returned list is ``None`` —
+    unless ``supervise.quarantine`` is False, in which case
+    :class:`CellFailed` raises.
 
     ``batch`` (a :class:`BatchSpec`) groups cells that share work: each
     group is *one* unit of execution — one pool task, one supervised
     attempt (a transient fault retries only its group, charged once),
     one per-group deadline scaled by member count — while the store
     still receives one record per member cell, so memo keys, resume,
-    quarantine and ``merge --verify`` are unaffected.  A terminal group
-    failure quarantines every member, each failure record naming the
-    full membership under ``"group_members"``.  A spec with a
-    ``grid_fn`` additionally prices *all* groups in one whole-grid
-    kernel call on serial unsupervised runs (see :class:`BatchSpec`);
-    rows and records are pinned bit-identical either way.
+    quarantine and ``merge --verify`` are unaffected.  A terminal
+    failure of a batched run's work item quarantines every member, each
+    failure record naming the full membership under
+    ``"group_members"``.
     """
     resolved: Optional[ResultStore] = resolve_store(store)
     cells = list(grid)
@@ -189,111 +178,76 @@ def compute_grid(
                 rows[position] = row
                 continue
         todo.append(position)
+    items, members = _work_items(cells, todo, batch)
+    kernel = _BatchKernel(cell_fn=fn, group_fn=None if batch is None else batch.fn)
     written: Dict[str, Any] = {}
+    # Completion order, not input order: each finished item is
+    # persisted immediately, never queued behind a slower one.
+    outcomes = supervised_indexed(
+        kernel,
+        items,
+        workers=workers,
+        supervision=supervise or Supervision(),
+        weights=[float(len(positions)) for positions in members],
+    )
     try:
-        if batch is None:
-            _run_cells(
-                grid,
-                fn,
-                cells,
-                todo,
-                rows,
-                resolved,
-                written,
-                workers=workers,
-                supervise=supervise,
-            )
-        else:
-            _run_batched(
-                grid,
-                fn,
-                batch,
-                cells,
-                todo,
-                rows,
-                resolved,
-                written,
-                workers=workers,
-                supervise=supervise,
-            )
+        for outcome in outcomes:
+            positions = members[outcome.index]
+            if outcome.ok:
+                if len(outcome.value) != len(positions):
+                    raise ValueError(
+                        f"batch kernel returned {len(outcome.value)} rows for a "
+                        f"{len(positions)}-cell group of the {grid.kernel} grid"
+                    )
+                for position, row in zip(positions, outcome.value):
+                    rows[position] = row
+                    if resolved is not None:
+                        written[cells[position].key] = _persist(
+                            resolved, cells[position], row
+                        )
+                continue
+            if supervise is None:
+                raise outcome.error
+            if not supervise.quarantine:
+                raise CellFailed(cells[positions[0]], outcome.failure)
+            if resolved is None:
+                continue
+            record = outcome.failure.as_record()
+            if batch is not None:
+                # A quarantined group must be diagnosable from any of
+                # its cells: each member's record names the whole group.
+                record["group_members"] = [cells[p].key for p in positions]
+            for position in positions:
+                cell = cells[position]
+                resolved.put_failure(
+                    cell.key, record, kernel=cell.kernel, params=cell.as_dict()
+                )
     finally:
+        # Stop the executor now (no queued item starts after a raise),
+        # not whenever the raised exception's frames are collected.
+        outcomes.close()
         if resolved is not None and written:
             resolved.index_add(written)
     return rows
 
 
-def _run_cells(
-    grid: Grid,
-    fn: Callable[[Dict[str, Any]], Any],
-    cells: List[Cell],
-    todo: List[int],
-    rows: List[Any],
-    resolved: Optional[ResultStore],
-    written: Dict[str, Any],
-    *,
-    workers: Optional[int],
-    supervise: Optional[Supervision],
-) -> None:
-    """The per-cell execution loop of :func:`compute_grid`."""
-    fn = chaos.wrap_if_active(fn)
-    params_list = [cells[position].as_dict() for position in todo]
-    # Completion order, not input order: each finished cell is
-    # persisted immediately, never queued behind a slower one.
-    if supervise is None:
-        for offset, row in parallel_indexed(fn, params_list, workers=workers):
-            position = todo[offset]
-            rows[position] = row
-            if resolved is not None:
-                written[cells[position].key] = _persist(resolved, cells[position], row)
-        return
-    outcomes = supervised_indexed(
-        fn, params_list, workers=workers, supervision=supervise
-    )
-    for outcome in outcomes:
-        position = todo[outcome.index]
-        cell = cells[position]
-        if outcome.ok:
-            rows[position] = outcome.value
-            if resolved is not None:
-                written[cell.key] = _persist(resolved, cell, outcome.value)
-            continue
-        if not supervise.quarantine:
-            raise CellFailed(cell, outcome.failure)
-        if resolved is not None:
-            resolved.put_failure(
-                cell.key,
-                outcome.failure.as_record(),
-                kernel=cell.kernel,
-                params=cell.as_dict(),
-            )
+def _work_items(
+    cells: List[Cell], todo: List[int], batch: Optional[BatchSpec]
+) -> Tuple[List[Tuple[str, Any]], List[List[int]]]:
+    """The work items of one run, and the grid positions each covers.
 
-
-def _run_batched(
-    grid: Grid,
-    fn: Callable[[Dict[str, Any]], Any],
-    batch: BatchSpec,
-    cells: List[Cell],
-    todo: List[int],
-    rows: List[Any],
-    resolved: Optional[ResultStore],
-    written: Dict[str, Any],
-    *,
-    workers: Optional[int],
-    supervise: Optional[Supervision],
-) -> None:
-    """The grouped execution loop of :func:`compute_grid`.
-
-    Work items are whole groups (first-appearance order, members in
-    canonical grid order); unbatchable cells (``group_key`` None) ride
-    along as singleton ``("cell", params)`` items through the same
-    pipeline, so one sweep can mix both kinds.
+    Without ``batch`` every cell is its own ``("cell", params)`` item.
+    With one, items are whole groups (first-appearance order, members
+    in canonical grid order); unbatchable cells (``group_key`` None)
+    ride along as singleton ``("cell", params)`` items, so one sweep
+    can mix both kinds.
     """
     items: List[Tuple[str, Any]] = []
     members: List[List[int]] = []
     group_slots: Dict[str, int] = {}
     for position in todo:
         params = cells[position].as_dict()
-        token = batch.group_key(params)
+        token = None if batch is None else batch.group_key(params)
         if token is None:
             items.append(("cell", params))
             members.append([position])
@@ -310,82 +264,7 @@ def _run_batched(
         (kind, tuple(payload) if kind == "group" else payload)
         for kind, payload in items
     ]
-    kernel = _BatchKernel(cell_fn=fn, group_fn=batch.fn)
-
-    def emit(offset: int, group_rows: Sequence[Any]) -> None:
-        positions = members[offset]
-        if len(group_rows) != len(positions):
-            raise ValueError(
-                f"batch kernel returned {len(group_rows)} rows for a "
-                f"{len(positions)}-cell group of the {grid.kernel} grid"
-            )
-        for position, row in zip(positions, group_rows):
-            rows[position] = row
-            if resolved is not None:
-                written[cells[position].key] = _persist(resolved, cells[position], row)
-
-    if (
-        batch.grid_fn is not None
-        and supervise is None
-        and workers in (None, 0, 1)
-    ):
-        # Grid mode: one whole-grid kernel call prices every group at
-        # once.  Chaos faults still fire per member (the same points
-        # the per-group dispatcher hits), so scripted-fault tests see
-        # identical behavior; singleton unbatchable cells ride through
-        # the ordinary dispatcher below.
-        offsets = [i for i, (kind, _) in enumerate(items) if kind == "group"]
-        if offsets:
-            plan = chaos.active_plan()
-            if plan is not None:
-                for offset in offsets:
-                    for params in items[offset][1]:
-                        plan.before_cell(params)
-            per_group = batch.grid_fn(tuple(items[i][1] for i in offsets))
-            if len(per_group) != len(offsets):
-                raise ValueError(
-                    f"grid kernel returned {len(per_group)} row lists "
-                    f"for {len(offsets)} groups of the {grid.kernel} grid"
-                )
-            for offset, group_rows in zip(offsets, per_group):
-                emit(offset, group_rows)
-        for offset, item in enumerate(items):
-            if item[0] == "cell":
-                emit(offset, kernel(item))
-        return
-
-    if supervise is None:
-        for offset, group_rows in parallel_indexed(kernel, items, workers=workers):
-            emit(offset, group_rows)
-        return
-    outcomes = supervised_indexed(
-        kernel,
-        items,
-        workers=workers,
-        supervision=supervise,
-        weights=[float(len(positions)) for positions in members],
-    )
-    for outcome in outcomes:
-        positions = members[outcome.index]
-        if outcome.ok:
-            emit(outcome.index, outcome.value)
-            continue
-        if not supervise.quarantine:
-            raise CellFailed(cells[positions[0]], outcome.failure)
-        if resolved is None:
-            continue
-        # One failure record per member, each naming the whole group:
-        # a quarantined group must be diagnosable from any of its cells.
-        record = outcome.failure.as_record()
-        record["group_members"] = [cells[p].key for p in positions]
-        for position in positions:
-            cell = cells[position]
-            resolved.put_failure(
-                cell.key,
-                record,
-                kernel=cell.kernel,
-                params=cell.as_dict(),
-            )
+    return items, members
 
 
 def _persist(store, cell: Cell, row: Any) -> Dict[str, Any]:

@@ -154,22 +154,23 @@ class TestBatchedEquivalence:
 
 
 class TestTraceCacheSweep:
-    """The persistent trace cache and whole-grid mode on real sweeps."""
+    """The persistent trace cache and batched execution on real sweeps."""
 
-    def test_grid_mode_store_matches_per_group_mode(self, tmp_path):
-        # Serial unsupervised batched runs take the whole-grid pricing
-        # path (BatchSpec.grid_fn); pooled runs price per group.  Both
-        # must leave byte-identical record trees.
+    def test_serial_store_matches_pooled_store(self, tmp_path):
+        # Serial and pooled batched runs price the same groups in
+        # different processes and orders; both must leave
+        # byte-identical record trees.
         grid = engine_grid(**GRID_KWARGS)
-        grid_store = ResultStore(tmp_path / "grid")
+        serial_store = ResultStore(tmp_path / "serial")
         pooled_store = ResultStore(tmp_path / "pooled")
-        rows_grid = compute_grid(grid, engine_cell, EngineRow,
-                                 store=grid_store, batch=engine_batch_spec())
+        rows_serial = compute_grid(grid, engine_cell, EngineRow,
+                                   store=serial_store,
+                                   batch=engine_batch_spec())
         rows_pooled = compute_grid(grid, engine_cell, EngineRow,
                                    store=pooled_store, workers=2,
                                    batch=engine_batch_spec())
-        assert rows_grid == rows_pooled
-        assert _record_bytes(grid_store) == _record_bytes(pooled_store)
+        assert rows_serial == rows_pooled
+        assert _record_bytes(serial_store) == _record_bytes(pooled_store)
 
     def test_warm_cache_skips_extraction_and_is_bit_identical(self, tmp_path):
         from repro.perf.tracecache import TraceCache
@@ -270,6 +271,38 @@ class TestGroupSupervision:
                 assert sorted(record["group_members"]) == member_keys
             else:
                 assert rows[position] is not None
+
+    def test_failure_records_name_members_only_when_batched(self, tmp_path):
+        # A per-cell run's failure record has no "group_members" key; a
+        # batched run's names the work item's members, including the
+        # singleton membership of an unbatchable (prefetching) cell.
+        grid = engine_grid(**GRID_KWARGS)
+        poisoned = {"policy": "belady", "depth": 3,
+                    "memory_code_key": "bacon_shor"}
+        plan = chaos.ChaosPlan.scripted([{"fault": "raise",
+                                          "match": poisoned}])
+        hit = [cell for cell in grid
+               if all(cell.as_dict().get(k) == v for k, v in poisoned.items())]
+        assert {cell.as_dict()["prefetch"] for cell in hit} == {
+            "none", "next_k"}
+        percell = ResultStore(tmp_path / "percell")
+        batched = ResultStore(tmp_path / "batched")
+        with chaos.active(plan):
+            compute_grid(grid, engine_cell, EngineRow, store=percell,
+                         supervise=Supervision())
+            compute_grid(grid, engine_cell, EngineRow, store=batched,
+                         supervise=Supervision(), batch=engine_batch_spec())
+        groups = _groups(grid)
+        assert sorted(percell.failure_keys()) == sorted(c.key for c in hit)
+        for cell in hit:
+            assert "group_members" not in percell.failure(cell.key)["failure"]
+            token = engine_traffic_key(cell.as_dict())
+            members = ([cell.key] if token is None
+                       else sorted(c.key for c in groups[token]))
+            record = batched.failure(cell.key)["failure"]
+            assert sorted(record["group_members"]) == members
+            for key in members:
+                assert key in batched.failure_keys()
 
     def test_supervised_weights_validated(self):
         items = [1, 2, 3]

@@ -164,18 +164,13 @@ class TestCorruptAfterWrite:
 
 
 class TestActivation:
-    def test_wrap_if_active_is_identity_without_plan(self):
-        assert CHAOS_ENV not in os.environ
-        assert chaos.wrap_if_active(_square) is _square
-
     def test_active_installs_and_restores_env(self):
         plan = ChaosPlan.scripted([{"fault": "raise", "match": {"x": 1}}])
         assert chaos.active_plan() is None
         with chaos.active(plan):
             assert os.environ[CHAOS_ENV] == plan.to_json()
             assert chaos.active_plan() == plan
-            wrapped = chaos.wrap_if_active(_square)
-            assert wrapped is not _square
+            wrapped = chaos.wrap(_square)
             with pytest.raises(ChaosFault):
                 wrapped({"x": 1})
             assert wrapped({"x": 3}) == 9

@@ -1,6 +1,10 @@
 """Tests for the repro.perf subsystem and its sweep wiring."""
 
+import concurrent.futures
 import json
+import time
+from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -11,8 +15,10 @@ from repro.perf.memo import (
     resolve_cache,
     stable_key,
 )
-from repro.perf.parallel import parallel_indexed, parallel_iter, parallel_map
+from repro.perf.store import ResultStore
 from repro.sim.hierarchy_sim import l1_speedup, simulate_l1_run
+from repro.sweep.grid import Cell, Grid
+from repro.sweep.runner import BatchSpec, compute_grid
 
 
 class TestStableKey:
@@ -88,113 +94,111 @@ class TestResolveCache:
             resolve_cache(3.14)
 
 
-class TestParallelMap:
-    def test_serial_matches_comprehension(self):
-        assert parallel_map(abs, [-2, 1, -3]) == [2, 1, 3]
-        assert parallel_map(abs, [], workers=8) == []
+@dataclass(frozen=True)
+class _SquareRow:
+    x: int
+    square: int
 
-    def test_parallel_preserves_order(self):
-        items = list(range(20))
-        assert parallel_map(_square, items, workers=4) == [
-            i * i for i in items
-        ]
+
+def _toy_grid(xs, **extra):
+    return Grid("toy_cell", tuple(Cell.make("toy_cell", x=x, **extra) for x in xs))
+
+
+def _square_row(params):
+    x = params["x"]
+    if x < 0:
+        raise RuntimeError(f"scripted failure for {x}")
+    return _SquareRow(x, x * x)
+
+
+def _square_rows(group):
+    return [_square_row(params) for params in group]
+
+
+#: Groups cells by parity: a batched toy grid with two work items.
+_PARITY_BATCH = BatchSpec(group_key=lambda params: str(params["x"] % 2),
+                          fn=_square_rows)
+
+
+def _square_row_or_fail_slowly(params):
+    if params["x"] < 0:
+        time.sleep(1.0)
+    return _square_row(params)
+
+
+def _mark_and_square_row(params):
+    if params["x"] >= 0:
+        time.sleep(0.3)
+        Path(params["directory"], f"ran-{params['x']}").write_text("")
+    return _square_row(params)
+
+
+def _stored_xs(store, grid):
+    return sorted(cell.as_dict()["x"] for cell in grid if store.has(cell.key))
+
+
+class TestComputeGridExecution:
+    """The one execution loop: serial and pooled, fail-fast and durable."""
+
+    @pytest.mark.parametrize("workers", [None, 4])
+    def test_rows_in_grid_order(self, workers):
+        rows = compute_grid(
+            _toy_grid(range(20)), _square_row, _SquareRow, workers=workers
+        )
+        assert rows == [_SquareRow(x, x * x) for x in range(20)]
+        assert compute_grid(_toy_grid([]), _square_row, _SquareRow, workers=8) == []
 
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError):
-            parallel_map(abs, [1], workers=-1)
-        with pytest.raises(ValueError):
-            parallel_iter(abs, [1], workers=-1)
+            compute_grid(_toy_grid([1]), _square_row, _SquareRow, workers=-1)
 
-    def test_iter_streams_lazily_in_order(self):
-        computed = []
+    @pytest.mark.parametrize("batch", [None, _PARITY_BATCH])
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_fail_fast_raises_the_cells_own_exception(self, workers, batch):
+        with pytest.raises(RuntimeError, match="scripted failure for -2"):
+            compute_grid(
+                _toy_grid([1, -2, 3]),
+                _square_row,
+                _SquareRow,
+                workers=workers,
+                batch=batch,
+            )
 
-        def record(x):
-            computed.append(x)
-            return x * x
-
-        stream = parallel_iter(record, [1, 2, 3])
-        assert computed == []  # nothing runs until the caller advances
-        assert next(stream) == 1
-        assert computed == [1]
-        assert list(stream) == [4, 9]
-
-    def test_iter_parallel_matches_map(self):
-        items = list(range(12))
-        assert list(parallel_iter(_square, items, workers=3)) == [
-            i * i for i in items
-        ]
-
-
-def _square(x):
-    return x * x
-
-
-def _square_or_raise(x):
-    if x < 0:
-        raise RuntimeError(f"scripted failure for {x}")
-    return x * x
-
-
-def _square_or_raise_slowly(x):
-    import time
-
-    if x < 0:
-        time.sleep(0.5)
-        raise RuntimeError(f"scripted failure for {x}")
-    return x * x
-
-
-def _mark_and_square(args):
-    import time
-    from pathlib import Path
-
-    x, directory = args
-    if x < 0:
-        raise RuntimeError(f"scripted failure for {x}")
-    time.sleep(0.3)
-    Path(directory, f"ran-{x}").write_text("")
-    return x * x
-
-
-class TestParallelIndexed:
-    def test_serial_yields_input_order(self):
-        assert list(parallel_indexed(_square, [3, 1, 2])) == [
-            (0, 9), (1, 1), (2, 4)
-        ]
-
-    def test_pool_yields_every_pair_once(self):
-        items = list(range(12))
-        pairs = sorted(parallel_indexed(_square, items, workers=3))
-        assert pairs == [(i, i * i) for i in items]
-
-    def test_serial_failure_propagates(self):
-        with pytest.raises(RuntimeError, match="scripted failure"):
-            list(parallel_indexed(_square_or_raise, [1, -2, 3]))
-
-    def test_pool_drains_completed_before_raising(self):
-        """A consumer persisting incrementally keeps every finished
-        cell: the failure surfaces only after completed futures drain —
+    def test_pool_persists_finished_cells_before_raising(self, tmp_path):
+        """Cells that finished while the failing cell ran are durable,
         even though the failing cell holds the lowest index."""
-        items = [-1, 1, 2, 3]  # index 0 fails, after the others finish
-        seen = []
+        grid = _toy_grid([-1, 1, 2, 3])
+        store = ResultStore(tmp_path / "store")
         with pytest.raises(RuntimeError, match="scripted failure for -1"):
-            for index, value in parallel_indexed(
-                _square_or_raise_slowly, items, workers=4
-            ):
-                seen.append((index, value))
-        assert sorted(seen) == [(1, 1), (2, 4), (3, 9)]
+            compute_grid(
+                grid, _square_row_or_fail_slowly, _SquareRow, store=store, workers=2
+            )
+        assert _stored_xs(store, grid) == [1, 2, 3]
 
-    def test_pool_failure_cancels_queued_cells(self, tmp_path):
-        """Teardown after a failure must not start queued cells."""
-        items = [(x, str(tmp_path)) for x in [-1] + list(range(10))]
+    def test_pool_drains_a_completed_batch_before_raising(
+        self, tmp_path, monkeypatch
+    ):
+        """A success completing alongside the failure is persisted."""
+        real_wait = concurrent.futures.wait
+
+        def wait_all(fs, timeout=None, return_when=None):
+            return real_wait(
+                fs, timeout=timeout, return_when=concurrent.futures.ALL_COMPLETED
+            )
+
+        monkeypatch.setattr(concurrent.futures, "wait", wait_all)
+        grid = _toy_grid([-1, 1])
+        store = ResultStore(tmp_path / "store")
+        with pytest.raises(RuntimeError, match="scripted failure for -1"):
+            compute_grid(grid, _square_row, _SquareRow, store=store, workers=2)
+        assert _stored_xs(store, grid) == [1]
+
+    def test_pool_failure_starts_no_queued_cell(self, tmp_path):
+        grid = _toy_grid([-1] + list(range(10)), directory=str(tmp_path))
         with pytest.raises(RuntimeError, match="scripted failure"):
-            list(parallel_indexed(_mark_and_square, items, workers=2))
-        started = list(tmp_path.glob("ran-*"))
-        # Only cells already running or in the pool's bounded call
-        # queue (workers + 1 deep) can still finish; the rest of the
-        # queue was cancelled, never drained.  2 running + 3 queued,
-        # plus one slot of scheduling slop.
-        assert len(started) <= 6
+            compute_grid(grid, _mark_and_square_row, _SquareRow, workers=2)
+        # Only the cell running beside the failure can have started.
+        assert len(list(tmp_path.glob("ran-*"))) <= 1
 
 
 class TestSweepWiring:

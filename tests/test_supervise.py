@@ -320,6 +320,32 @@ class TestPoolSupervision:
                     )
                 )
 
+    def test_max_failures_abort_keeps_a_batch_success(self, monkeypatch):
+        """A success completing in the same wait() batch as the failure
+        that trips the budget is still yielded before the abort."""
+        import concurrent.futures
+
+        real_wait = concurrent.futures.wait
+
+        def wait_all(fs, timeout=None, return_when=None):
+            return real_wait(
+                fs, timeout=timeout, return_when=concurrent.futures.ALL_COMPLETED
+            )
+
+        monkeypatch.setattr(concurrent.futures, "wait", wait_all)
+        plan = chaos.ChaosPlan.scripted([{"fault": "raise", "match": {"x": 0}}])
+        seen = []
+        with chaos.active(plan):
+            with pytest.raises(TooManyFailures):
+                for outcome in supervised_indexed(
+                    _chaos_square,
+                    _items(2),
+                    supervision=Supervision(max_failures=0),
+                    workers=2,
+                ):
+                    seen.append((outcome.index, outcome.ok))
+        assert sorted(seen) == [(0, False), (1, True)]
+
     def test_cell_timeout_forces_pool_even_serial(self, tmp_path):
         """Deadlines need a reapable child even with workers=1."""
         plan = chaos.ChaosPlan.scripted(
