@@ -486,21 +486,20 @@ def _bench_sweep_store(loops: int = 3):
     return run
 
 
-def _bench_supervised_overhead(alternations: int = 3):
-    """The fault-free supervision tax on the sweep runner, as a ratio.
+def _bench_supervised_overhead(alternations: int = 7):
+    """The fault-free tax of the sweep runner's execution loop, as a ratio.
 
-    Runs the same small engine grid through ``compute_grid`` fail-fast
-    (no spec) and under an explicit identity ``Supervision()`` in
-    alternation (so clock drift hits both arms equally) and returns
-    ``supervised/raw - 1``
-    on the best-of times.  Unlike every other kernel this one measures
-    *itself* and returns a dimensionless fraction, signalled by the
-    ``_overhead`` name suffix: machine speed cancels out of a ratio,
-    so the baseline gate compares it with an absolute budget instead
-    of calibration scaling.
+    Runs the same small engine grid through ``compute_grid`` (which
+    always dispatches through ``supervised_indexed``) and through a
+    plain in-process loop of ``engine_cell`` over the grid's cells, in
+    alternation (so clock drift hits both arms equally), and returns
+    ``runner/plain - 1`` on the best-of times.  Unlike every other
+    kernel this one measures *itself* and returns a dimensionless
+    fraction, signalled by the ``_overhead`` name suffix: machine speed
+    cancels out of a ratio, so the baseline gate compares it with an
+    absolute budget instead of calibration scaling.
     """
     from repro.core.design_space import EngineRow, engine_cell, engine_grid
-    from repro.perf.supervise import Supervision
     from repro.sweep.runner import compute_grid
 
     grid = engine_grid(workloads=("draper_adder",), sizes=(256,),
@@ -509,20 +508,18 @@ def _bench_supervised_overhead(alternations: int = 3):
     def run():
         # One warm pass builds the fetch-order / speedup caches both
         # arms share, so the ratio times the runner, not the scheduler.
-        compute_grid(grid, engine_cell, EngineRow)
-        raw = supervised = None
+        expected = compute_grid(grid, engine_cell, EngineRow)
+        plain = runner = None
         for _ in range(alternations):
             t0 = time.perf_counter()
-            compute_grid(grid, engine_cell, EngineRow)
+            rows = [engine_cell(cell.as_dict()) for cell in grid]
             elapsed = time.perf_counter() - t0
-            raw = elapsed if raw is None else min(raw, elapsed)
+            plain = elapsed if plain is None else min(plain, elapsed)
             t0 = time.perf_counter()
-            compute_grid(grid, engine_cell, EngineRow,
-                         supervise=Supervision())
+            assert compute_grid(grid, engine_cell, EngineRow) == rows == expected
             elapsed = time.perf_counter() - t0
-            supervised = (elapsed if supervised is None
-                          else min(supervised, elapsed))
-        return supervised / raw - 1.0
+            runner = elapsed if runner is None else min(runner, elapsed)
+        return runner / plain - 1.0
 
     return run
 

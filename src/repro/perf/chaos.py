@@ -222,7 +222,7 @@ class ChaosPlan:
     def before_cell(self, params: Mapping[str, Any]) -> None:
         """Run the scripted in-cell fault, if any (worker side).
 
-        Called by :class:`ChaosWrapped` before the real kernel;
+        Called by :func:`fire` before the real kernel;
         ``"corrupt"`` faults do nothing here (they fire after the store
         write, via :meth:`corrupt_after_write`).
         """
@@ -276,10 +276,19 @@ class ChaosWrapped:
     fn: Callable[[Mapping[str, Any]], Any]
 
     def __call__(self, params: Mapping[str, Any]) -> Any:
-        plan = active_plan()
-        if plan is not None:
-            plan.before_cell(params)
+        fire(params)
         return self.fn(params)
+
+
+def fire(params: Mapping[str, Any]) -> None:
+    """Run the active plan's scripted in-cell fault for ``params``, if any.
+
+    The one place a kernel call consults the plan; call it inside the
+    worker, before the real kernel.
+    """
+    plan = active_plan()
+    if plan is not None:
+        plan.before_cell(params)
 
 
 def wrap(fn: Callable[[Mapping[str, Any]], Any]) -> ChaosWrapped:

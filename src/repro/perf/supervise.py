@@ -26,7 +26,9 @@ The zero-retry, no-deadline configuration (the default
 :class:`Supervision`) is the *identity wrapper*: every item runs
 exactly once, and a failing item's outcome carries its own exception
 (:attr:`CellOutcome.error`), so a fail-fast caller can re-raise it
-unchanged.
+unchanged.  With ``quarantine=False`` as well it is the fail-fast
+configuration, which a pool runs like a plain executor: every item is
+submitted up front.
 """
 
 from __future__ import annotations
@@ -134,10 +136,11 @@ class Supervision:
     """The full supervision contract one grid execution runs under.
 
     The default is the identity configuration: one attempt, no
-    deadline, unlimited failures, quarantine on.
-    :func:`repro.sweep.runner.compute_grid` runs under it when given no
-    spec.  ``quarantine=False`` restores fail-fast semantics (the first
-    terminal failure raises :class:`repro.sweep.runner.CellFailed`).
+    deadline, unlimited failures, quarantine on.  ``quarantine=False``
+    restores fail-fast semantics (the first terminal failure raises
+    :class:`repro.sweep.runner.CellFailed`);
+    :func:`repro.sweep.runner.compute_grid` runs under
+    ``Supervision(quarantine=False)`` when given no spec.
     """
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)
@@ -220,8 +223,12 @@ def supervised_indexed(
 
     ``workers`` of None, 0 or 1 (or a single item) runs serially
     in-process, lazily, in input order; larger values run a process
-    pool with at most ``workers`` items in flight, so an abandoned
-    iteration (``close()``) never starts another item.  A failing,
+    pool.  A fail-fast ``supervision`` (``quarantine=False``, one
+    attempt, no deadline) submits every item up front; closing its
+    iteration cancels the items not yet handed to a worker and lets
+    the handed-over ones finish.  Any other supervision keeps one item
+    per worker in flight, and closing its iteration terminates the
+    workers, so no further item starts.  A failing,
     hanging, or crashing cell yields a failure outcome (after retries)
     instead of killing the iteration.  Within one batch of completed
     pool futures, successes are yielded before failures, so a consumer
@@ -328,6 +335,18 @@ def _supervised_pool(
     from concurrent.futures.process import BrokenProcessPool
 
     max_workers = max(1, min(workers, len(cells)))
+    # A fail-fast run (no quarantine, one attempt, no deadline) ends at
+    # its first terminal failure, so it runs like a plain executor: every
+    # item is submitted up front and no worker ever waits on the
+    # consumer's writes.  Any other run keeps one item per worker in
+    # flight: a deadline runs from submission, and a crash charges every
+    # in-flight item an attempt.
+    fail_fast = (
+        not supervision.quarantine
+        and supervision.retry.max_attempts == 1
+        and supervision.cell_timeout_s is None
+    )
+    depth = len(cells) if fail_fast else max_workers
     pool = ProcessPoolExecutor(max_workers=max_workers)
     pool_broken = False
     attempts: Dict[int, int] = {}
@@ -366,7 +385,7 @@ def _supervised_pool(
         now = time.monotonic()
         while delayed and delayed[0][0] <= now:
             ready.append(heapq.heappop(delayed)[1])
-        while ready and len(inflight) < max_workers:
+        while ready and len(inflight) < depth:
             if pool_broken:
                 restart_pool()
             index = ready.popleft()
@@ -472,5 +491,12 @@ def _supervised_pool(
                         yield outcome
                         _check_budget(failures, supervision)
     finally:
-        _terminate_workers(pool)
-        pool.shutdown(wait=False, cancel_futures=True)
+        if fail_fast:
+            # Items already handed to a worker (the running ones and the
+            # pool's call queue, ``workers + 1`` deep) run to completion,
+            # so their trace-cache writes and counters stay whole; the
+            # rest are cancelled and never start.
+            pool.shutdown(wait=True, cancel_futures=True)
+        else:
+            _terminate_workers(pool)
+            pool.shutdown(wait=False, cancel_futures=True)

@@ -9,9 +9,9 @@ traffic group under a :class:`BatchSpec`), run them through
 :func:`repro.perf.supervise.supervised_indexed`, persist each result as
 it completes, return rows in canonical grid order.
 
-Without a ``supervise=`` spec the loop runs under the identity
-:class:`repro.perf.supervise.Supervision` (one attempt, no deadline)
-and fails fast with the failing cell's own exception.  With one,
+Without a ``supervise=`` spec the loop runs under the fail-fast
+:class:`repro.perf.supervise.Supervision` (one attempt, no deadline,
+no quarantine) and raises the failing cell's own exception.  With one,
 transient faults are retried, hung cells reaped, dead workers rebuilt,
 and a cell that exhausts its retries is *quarantined* — its classified
 failure lands as a durable store record and its row slot stays
@@ -97,14 +97,11 @@ class _BatchKernel:
 
     def __call__(self, item: Tuple[str, Any]) -> List[Any]:
         kind, payload = item
-        plan = chaos.active_plan()
         if kind == "cell":
-            if plan is not None:
-                plan.before_cell(payload)
+            chaos.fire(payload)
             return [self.cell_fn(payload)]
-        if plan is not None:
-            for params in payload:
-                plan.before_cell(params)
+        for params in payload:
+            chaos.fire(params)
         return list(self.group_fn(payload))
 
 
@@ -148,9 +145,11 @@ def compute_grid(
 
     Every run goes through
     :func:`repro.perf.supervise.supervised_indexed`.  With
-    ``supervise=None`` it runs under the identity :class:`Supervision`
+    ``supervise=None`` it runs under ``Supervision(quarantine=False)``
     and fails fast: the first failing cell's own exception is re-raised
-    once every result that finished before it has been persisted.  A
+    once every result that finished before it has been persisted.
+    Items already handed to a pool worker run to completion before the
+    raise (their results are dropped); no other item starts.  A
     ``supervise`` spec retries failures per its policy, and a cell that
     exhausts its attempts is quarantined — a durable failure record
     replaces its result and its slot in the returned list is ``None`` —
@@ -187,7 +186,7 @@ def compute_grid(
         kernel,
         items,
         workers=workers,
-        supervision=supervise or Supervision(),
+        supervision=supervise or Supervision(quarantine=False),
         weights=[float(len(positions)) for positions in members],
     )
     try:
@@ -223,8 +222,9 @@ def compute_grid(
                     cell.key, record, kernel=cell.kernel, params=cell.as_dict()
                 )
     finally:
-        # Stop the executor now (no queued item starts after a raise),
-        # not whenever the raised exception's frames are collected.
+        # Stop the executor now, not whenever the raised exception's
+        # frames are collected: an item not yet handed to a worker
+        # never starts after a raise.
         outcomes.close()
         if resolved is not None and written:
             resolved.index_add(written)

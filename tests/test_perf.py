@@ -193,12 +193,16 @@ class TestComputeGridExecution:
             compute_grid(grid, _square_row, _SquareRow, store=store, workers=2)
         assert _stored_xs(store, grid) == [1]
 
-    def test_pool_failure_starts_no_queued_cell(self, tmp_path):
+    def test_pool_failure_cancels_queued_cells(self, tmp_path):
+        """Teardown after a failure must not start queued cells."""
         grid = _toy_grid([-1] + list(range(10)), directory=str(tmp_path))
         with pytest.raises(RuntimeError, match="scripted failure"):
             compute_grid(grid, _mark_and_square_row, _SquareRow, workers=2)
-        # Only the cell running beside the failure can have started.
-        assert len(list(tmp_path.glob("ran-*"))) <= 1
+        # Only cells already running or in the pool's bounded call
+        # queue (workers + 1 deep) can still finish; the rest of the
+        # queue was cancelled, never drained.  2 running + 3 queued,
+        # plus one slot of scheduling slop.
+        assert len(list(tmp_path.glob("ran-*"))) <= 6
 
 
 class TestSweepWiring:

@@ -35,6 +35,13 @@ def _items(count):
     return [{"x": i} for i in range(count)]
 
 
+def _mark_square(params):
+    from pathlib import Path
+
+    Path(params["directory"], f"ran-{params['x']}").write_text("")
+    return params["x"] * params["x"]
+
+
 def _by_index(outcomes):
     return sorted(outcomes, key=lambda outcome: outcome.index)
 
@@ -345,6 +352,31 @@ class TestPoolSupervision:
                 ):
                     seen.append((outcome.index, outcome.ok))
         assert sorted(seen) == [(0, False), (1, True)]
+
+    @pytest.mark.parametrize(
+        "supervision, most_started",
+        [(Supervision(quarantine=False), 6), (Supervision(), 2)],
+        ids=["fail_fast", "quarantine"],
+    )
+    def test_in_flight_bound(self, tmp_path, supervision, most_started):
+        """A fail-fast pool keeps working while its consumer is busy;
+        any other pool holds one item per worker until resumed."""
+        items = [{"x": i, "directory": str(tmp_path)} for i in range(6)]
+        stream = supervised_indexed(
+            _mark_square, items, supervision=supervision, workers=2
+        )
+        try:
+            assert next(stream).ok
+            deadline = time.monotonic() + 10.0
+            while (
+                len(list(tmp_path.glob("ran-*"))) < most_started
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.05)
+            time.sleep(0.3)
+            assert len(list(tmp_path.glob("ran-*"))) == most_started
+        finally:
+            stream.close()
 
     def test_cell_timeout_forces_pool_even_serial(self, tmp_path):
         """Deadlines need a reapable child even with workers=1."""
